@@ -8,18 +8,27 @@ Expansion routes implemented here:
 * power sum basis through block permutations free of graph descents and of
   nontrivial left-to-right graph maxima (``x_g_power``).
 
-Every enumeration collects coefficients of full exponent vectors first and
-audits that the result is genuinely symmetric before reading off monomial
-coefficients; an asymmetric result means the graph is outside the class the
-expansion theorems cover, and raises ``IdentityViolation``.
+The monomial routes share one enumeration, ``coloring_census``: the
+colorings of a graph G, counted per exponent vector by their ascents on G
+and by which of k added edges they leave monochromatic or ascending.  Every
+sandwich graph H = G + (a subset of the added edges) is then read off that
+census by ``from_census``: a coloring is H-proper iff no added edge of H is
+monochromatic, and its H-ascents are its G-ascents plus the ascending added
+edges of H.  ``x_g`` and ``llt_g`` are the case of no added edge.
+
+Every census read off this way is audited for symmetry over full exponent
+vectors before monomial coefficients are taken; an asymmetric result means
+the graph is outside the class the expansion theorems cover, and raises
+``IdentityViolation``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
-from .graphs import UGraph, all_colorings, is_claw_free, proper_colorings
+from .graphs import IdentityViolation, UGraph, all_colorings, is_claw_free, proper_colorings
 from .rings import LaurentQT, RatFunQT
 from .shapes import partitions_of
 from .symfunc import SymFunc, convert, omega, z_of
@@ -39,31 +48,76 @@ __all__ = [
     "perm_inv",
     "BlockPermutation",
     "t_analogue",
+    "ColoringCensus",
     "coloring_census",
+    "from_census",
 ]
-
-
-class IdentityViolation(ArithmeticError):
-    """A theorem-level identity failed; signals a bug or an input outside scope."""
 
 
 # ---------------------------------------------------------------------------
 # Coloring census and monomial collection
 # ---------------------------------------------------------------------------
 
-def coloring_census(h: UGraph, proper: bool = True):
-    """Histogram {exponent vector: {ascents: count}} over palette-n colorings."""
-    n = h.n
-    census: dict[tuple[int, ...], dict[int, int]] = {}
-    source = proper_colorings(h, n) if proper else all_colorings(h, n)
+class ColoringCensus(NamedTuple):
+    """Palette-n colorings of a graph G, proper for G or all of them.
+
+    ``counts`` is {exponent vector: {key: count}}; a coloring's key packs
+    ``asc_G << 2k | equal_mask << k | ascent_mask``, where bit i of
+    ``equal_mask`` (``ascent_mask``) is set when added edge i is
+    monochromatic (an ascent) under it.
+    """
+
+    n: int
+    k: int
+    proper: bool
+    counts: dict
+
+
+def coloring_census(g: UGraph, added=(), proper: bool = True) -> ColoringCensus:
+    """Count the colorings of g once for every sandwich graph g + added[mask].
+
+    ``added`` lists k new edges of G+; each must join two distinct vertices
+    of g that g does not already join, and appear once.
+    """
+    n = g.n
+    k = len(added)
+    edges = []
+    seen = set()
+    for i, (u, v) in enumerate(added):
+        if u == v:
+            raise ValueError(f"added edge ({u},{v}) is a loop")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"added edge ({u},{v}) outside vertex range 1..{n}")
+        u, v = min(u, v), max(u, v)
+        if (u, v) in seen:
+            raise ValueError(f"added edge ({u},{v}) listed twice")
+        if g.has_edge(u, v):
+            raise ValueError(f"added edge ({u},{v}) is already an edge of the graph")
+        seen.add((u, v))
+        edges.append((u - 1, v - 1, 1 << (k + i), 1 << i))
+    # one int per coloring: its exponent vector (n.bit_length() bits per
+    # color) above its key, unpacked once per distinct value at the end
+    low = 2 * k + len(g.edges).bit_length()
+    width = n.bit_length()
+    weight = [0] + [1 << (low + width * i) for i in range(n)]
+    shift = 2 * k
+    packed: dict[int, int] = {}
+    source = proper_colorings(g, n) if proper else all_colorings(g, n)
     for coloring, asc in source:
-        vec = [0] * n
+        key = asc << shift
         for c in coloring:
-            vec[c - 1] += 1
-        key = tuple(vec)
-        hist = census.setdefault(key, {})
-        hist[asc] = hist.get(asc, 0) + 1
-    return census
+            key += weight[c]
+        for u, v, equal_bit, ascent_bit in edges:
+            if coloring[u] == coloring[v]:
+                key |= equal_bit
+            elif coloring[u] < coloring[v]:
+                key |= ascent_bit
+        packed[key] = packed.get(key, 0) + 1
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for key, count in packed.items():
+        vec = tuple(key >> (low + width * i) & ((1 << width) - 1) for i in range(n))
+        counts.setdefault(vec, {})[key & ((1 << low) - 1)] = count
+    return ColoringCensus(n, k, proper, counts)
 
 
 def _rearrangement_count(typ) -> int:
@@ -99,26 +153,46 @@ def _census_to_monomial(census, n: int, with_t: bool) -> SymFunc:
     return SymFunc(n, "monomial", coeffs, LaurentQT)
 
 
+def from_census(census: ColoringCensus, mask: int = 0, with_t: bool = True) -> SymFunc:
+    """X_H (a proper census) or LLT_H (an all-colorings census) in the
+    monomial basis, for H = G plus the added edges whose bits are set in
+    ``mask``; ``with_t`` as in ``x_g``."""
+    n, k = census.n, census.k
+    if not 0 <= mask < 1 << k:
+        raise ValueError(f"mask {mask} selects edges beyond the {k} added ones")
+    shift = 2 * k
+    hists = {}
+    for vec, counts in census.counts.items():
+        hist: dict[int, int] = {}
+        for key, count in counts.items():
+            if census.proper and key >> k & mask:
+                continue
+            asc = (key >> shift) + (key & mask).bit_count()
+            hist[asc] = hist.get(asc, 0) + count
+        if hist:
+            hists[vec] = hist
+    _audit_symmetry(hists, n, "X_H" if census.proper else "LLT_G")
+    return _census_to_monomial(hists, n, with_t)
+
+
 def x_g(h: UGraph, with_t: bool = True) -> SymFunc:
     """Chromatic (quasi)symmetric function in the monomial basis.
 
     With ``with_t`` the coefficient of each monomial is the ascent generating
-    polynomial in t; without it every coloring counts 1.
+    polynomial in t; without it every coloring counts 1.  This is
+    ``from_census`` of h's own census, with no added edge.
     """
     if h.n == 0:
         return SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
-    census = coloring_census(h, proper=True)
-    _audit_symmetry(census, h.n, "X_H")
-    return _census_to_monomial(census, h.n, with_t)
+    return from_census(coloring_census(h), with_t=with_t)
 
 
 def llt_g(h: UGraph) -> SymFunc:
-    """Ascent generating function over all (not necessarily proper) colorings."""
+    """Ascent generating function over all (not necessarily proper) colorings;
+    ``from_census`` of h's all-colorings census, with no added edge."""
     if h.n == 0:
         return SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
-    census = coloring_census(h, proper=False)
-    _audit_symmetry(census, h.n, "LLT_G")
-    return _census_to_monomial(census, h.n, True)
+    return from_census(coloring_census(h, proper=False))
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +353,20 @@ def perm_inv(h: UGraph, sigma) -> int:
     )
 
 
+def _inversion_sum(h: UGraph, perms) -> LaurentQT:
+    """Sum of t^perm_inv over a list of block permutations."""
+    total = LaurentQT.zero()
+    for bp in perms:
+        total = total + LaurentQT.term(1, 0, perm_inv(h, bp.sigma))
+    return total
+
+
 def x_g_power(h: UGraph) -> SymFunc:
     """Power sum expansion of omega X_H(x;t); the caller un-omegas to compare."""
     n = h.n
     coeffs = {}
     for lam in partitions_of(n):
-        total = LaurentQT.zero()
-        for bp in n_lambda(h, lam):
-            total = total + LaurentQT.term(1, 0, perm_inv(h, bp.sigma))
+        total = _inversion_sum(h, n_lambda(h, lam))
         if not total.is_zero():
             coeffs[lam] = total.scale(Fraction(1, z_of(lam)))
     return SymFunc(n, "power", coeffs, LaurentQT)
@@ -344,55 +424,47 @@ def llt_power_tilde(h: UGraph) -> SymFunc:
     t_minus_1 = LaurentQT.parse("-1 + t")
     coeffs = {}
     for lam in partitions_of(n):
-        total = LaurentQT.zero()
-        for bp in n_tilde(h, lam):
-            total = total + LaurentQT.term(1, 0, perm_inv(h, bp.sigma))
+        total = _inversion_sum(h, n_tilde(h, lam))
         value = (t_minus_1 ** (n - len(lam))) * total
         if not value.is_zero():
             coeffs[lam] = RatFunQT(value.scale(Fraction(1, z_of(lam))))
     return SymFunc(n, "power", coeffs, RatFunQT)
 
 
-def _llt_power_divided(h: UGraph) -> SymFunc:
-    """omega LLT in the power basis from N_lambda sums divided by t-analogues."""
-    n = h.n
-    t_minus_1 = LaurentQT.parse("-1 + t")
-    coeffs = {}
-    for lam in partitions_of(n):
-        total = LaurentQT.zero()
-        for bp in n_lambda(h, lam):
-            total = total + LaurentQT.term(1, 0, perm_inv(h, bp.sigma))
-        num = (t_minus_1 ** (n - len(lam))) * total
-        den = LaurentQT.one()
-        for part in lam:
-            den = den * t_analogue(part)
-        value = RatFunQT(num.scale(Fraction(1, z_of(lam))), den)
-        if not value.is_zero():
-            coeffs[lam] = value
-    return SymFunc(n, "power", coeffs, RatFunQT)
-
-
 def verify_plethysm(h: UGraph) -> bool:
-    """Cross-check every LLT power sum route against direct enumeration.
+    """Cross-check every LLT power sum route of h against direct enumeration.
 
-    Checks, all as exact RatFunQT identities:
+    Checks, all as exact RatFunQT identities, for every lambda:
       1. the tilde formula equals omega of the enumerated LLT,
-      2. the divided N_lambda form equals the same,
+      2. the N_lambda inversion sum, divided by the product of the
+         t-analogues of the parts, equals the same,
       3. coefficientwise, LLT equals (t-1)^n X[p_k -> p_k/(t^k - 1)],
       4. each N_lambda inversion sum is exactly divisible by the product of
          the t-analogues of the parts.
     """
+    return _plethysm_holds(h, llt_g(h), x_g(h))
+
+
+def _plethysm_holds(h: UGraph, llt: SymFunc, x: SymFunc) -> bool:
+    """``verify_plethysm`` given h's monomial LLT_H and X_H, for callers that
+    read them off a shared census.  LLT_H goes to the power basis once, and
+    each N_lambda sum and t-analogue product serves checks 2 and 4 alike."""
     n = h.n
-    direct = omega(convert(llt_g(h), "power"))
+    llt_power = convert(llt, "power")
+    direct = omega(llt_power)
     tilde = llt_power_tilde(h)
-    divided = _llt_power_divided(h)
-    x_power = convert(x_g(h), "power")
-    llt_power = convert(llt_g(h), "power")
+    x_power = convert(x, "power")
     t_minus_1 = LaurentQT.parse("-1 + t")
 
     for lam in partitions_of(n):
         want = RatFunQT(direct.get(lam))
-        if tilde.get(lam) != want or divided.get(lam) != want:
+        total = _inversion_sum(h, n_lambda(h, lam))
+        analogue = LaurentQT.one()
+        for part in lam:
+            analogue = analogue * t_analogue(part)
+        num = (t_minus_1 ** (n - len(lam))) * total
+        divided = RatFunQT(num.scale(Fraction(1, z_of(lam))), analogue)
+        if tilde.get(lam) != want or divided != want:
             return False
         # plethystic identity LLT = (t-1)^n X[x/(t-1)]
         den = LaurentQT.one()
@@ -403,12 +475,6 @@ def verify_plethysm(h: UGraph) -> bool:
         if lhs != rhs:
             return False
         # divisibility of the N_lambda sum by the t-analogue product
-        total = LaurentQT.zero()
-        for bp in n_lambda(h, lam):
-            total = total + LaurentQT.term(1, 0, perm_inv(h, bp.sigma))
-        analogue = LaurentQT.one()
-        for part in lam:
-            analogue = analogue * t_analogue(part)
         try:
             total.exact_div(analogue)
         except ArithmeticError:

@@ -11,6 +11,10 @@ from __future__ import annotations
 from .shapes import Diagram, check_partition
 
 
+class IdentityViolation(ArithmeticError):
+    """A theorem-level identity failed; signals a bug or an input outside scope."""
+
+
 class UGraph:
     """Simple undirected graph: vertex set {1..n}, edges as sorted (u, v) pairs."""
 
@@ -74,9 +78,12 @@ class AttackingData:
             if v is not None:
                 down_edges.append(((u, v), diagram.arm_by_label[u], diagram.leg_by_label[u]))
         g_plus = g.with_edges(edge for edge, _, _ in down_edges)
-        assert g.edge_set() <= g_plus.edge_set()
-        assert len(g_plus.edges) - len(g.edges) == n - (mu[0] if mu else 0)
-        assert is_claw_free(g) and is_claw_free(g_plus), "attacking graphs must be claw-free"
+        if not g.edge_set() <= g_plus.edge_set():
+            raise IdentityViolation(f"attacking graph of {mu} is not inside its augmentation")
+        if len(g_plus.edges) - len(g.edges) != n - (mu[0] if mu else 0):
+            raise IdentityViolation(f"augmented attacking graph of {mu} lacks a down-edge")
+        if not (is_claw_free(g) and is_claw_free(g_plus)):
+            raise IdentityViolation(f"attacking graphs of {mu} must be claw-free")
         self.mu = mu
         self.g = g
         self.g_plus = g_plus

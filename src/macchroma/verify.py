@@ -1,7 +1,8 @@
 """Cross-verification suites and conjecture scans.
 
 Each suite runs one batch of exact identities per input partition and
-reports pass/fail with the first counterexample found.  Nothing here is
+reports pass/fail per partition; a failing partition carries its own
+counterexample, and the report names the first one found.  Nothing here is
 randomized; items are processed in descending lexicographic partition order
 (optionally on a process pool, whose size MACCHROMA_THREADS caps) and
 reports come out deterministic apart from wall time.
@@ -131,11 +132,12 @@ def check_jack_mu(mu) -> dict:
                           convert(schur, "monomial"))
     if bad:
         return bad
+    power = jackmod.jack_power(mu)
     bad = _first_mismatch(mu, "power_vs_knop_sahi", "monomial", reference,
-                          convert(jackmod.jack_power(mu), "monomial"))
+                          convert(power, "monomial"))
     if bad:
         return bad
-    bad = _first_mismatch(mu, "power_sign_forms", "power", jackmod.jack_power(mu),
+    bad = _first_mismatch(mu, "power_sign_forms", "power", power,
                           jackmod.jack_power(mu, sign_on_total_edges=True))
     if bad:
         return bad
@@ -153,10 +155,12 @@ def check_jack_mu(mu) -> dict:
 def check_chromatic_mu(mu) -> dict:
     mu = check_partition(mu)
     data = attacking_data(mu)
+    added = [edge for edge, _, _ in data.down_edges]  # bit i of a sandwich mask
+    census = chrom.coloring_census(data.g, added)
     for index, h in enumerate(sandwich_graphs(data)):
         if not is_claw_free(h):
             return _counterexample(mu, "claw_free", None, (index,), "claw-free", "claw found")
-        x = chrom.x_g(h, with_t=True)  # includes the symmetry audit
+        x = chrom.from_census(census, index)  # includes the symmetry audit
         bad = _first_mismatch(mu, f"schur_route_mask{index}", "schur",
                               convert(x, "schur"), chrom.x_g_schur(h))
         if bad:
@@ -167,7 +171,7 @@ def check_chromatic_mu(mu) -> dict:
             return bad
         at_one = x.map_coeffs(lambda c: c.substitute_t(1, 0))
         bad = _first_mismatch(mu, f"t_equals_one_mask{index}", "monomial",
-                              chrom.x_g(h, with_t=False), at_one)
+                              chrom.from_census(census, index, with_t=False), at_one)
         if bad:
             return bad
     return {"mu": list(mu), "status": "pass"}
@@ -176,8 +180,12 @@ def check_chromatic_mu(mu) -> dict:
 def check_llt_mu(mu) -> dict:
     mu = check_partition(mu)
     data = attacking_data(mu)
+    added = [edge for edge, _, _ in data.down_edges]
+    llt_census = chrom.coloring_census(data.g, added, proper=False)
+    x_census = chrom.coloring_census(data.g, added)
     for index, h in enumerate(sandwich_graphs(data)):
-        if not chrom.verify_plethysm(h):
+        llt, x = chrom.from_census(llt_census, index), chrom.from_census(x_census, index)
+        if not chrom._plethysm_holds(h, llt, x):
             return _counterexample(mu, f"llt_plethysm_mask{index}", "power", None,
                                    "plethystic identities hold", "violation")
     return {"mu": list(mu), "status": "pass"}
@@ -220,21 +228,27 @@ def _run_mapped(fn, items, progress=None):
     return results
 
 
-def run_suite(suite: str, max_n: int, progress=None) -> VerifyReport:
-    if suite not in _SUITE_ITEM:
-        raise ValueError(f"unknown suite {suite!r}")
-    start = time.perf_counter()
-    mus = [mu for n in range(1, max_n + 1) for mu in partitions_of(n)]
-    results = _run_mapped(_SUITE_ITEM[suite], mus, progress)
+def _collect(results):
+    """Report items and the first counterexample; each failing item keeps
+    its own counterexample."""
     items = []
     counterexample = None
     for res in results:
         if "status" in res:
             items.append(res)
         else:
-            items.append({"mu": res["mu"], "status": "fail"})
+            items.append({"mu": res["mu"], "status": "fail", "counterexample": res})
             if counterexample is None:
                 counterexample = res
+    return items, counterexample
+
+
+def run_suite(suite: str, max_n: int, progress=None) -> VerifyReport:
+    if suite not in _SUITE_ITEM:
+        raise ValueError(f"unknown suite {suite!r}")
+    start = time.perf_counter()
+    mus = [mu for n in range(1, max_n + 1) for mu in partitions_of(n)]
+    items, counterexample = _collect(_run_mapped(_SUITE_ITEM[suite], mus, progress))
     return VerifyReport(suite, max_n, items, counterexample, time.perf_counter() - start)
 
 
@@ -321,14 +335,6 @@ def run_conjecture(which: str, max_n: int, max_k: int, progress=None) -> VerifyR
     start = time.perf_counter()
     mus = [mu for n in range(1, max_n + 1) for mu in partitions_of(n)]
     results = _run_mapped(_CONJECTURES[which], [(mu, max_k) for mu in mus], progress)
-    items = []
-    counterexample = None
-    for res in results:
-        if "status" in res:
-            items.append(res)
-        else:
-            items.append({"mu": res["mu"], "status": "fail"})
-            if counterexample is None:
-                counterexample = res
+    items, counterexample = _collect(results)
     return VerifyReport(f"conjecture:{which}", max_n, items, counterexample,
                         time.perf_counter() - start)

@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
+import macchroma
+from macchroma import graphs
 from macchroma.chromatic import (
     IdentityViolation,
     BlockPermutation,
+    coloring_census,
+    from_census,
     llt_g,
     llt_power_tilde,
     n_lambda,
@@ -214,3 +222,109 @@ def test_x_g_with_t_specializes_to_plain():
             weighted = x_g(h, with_t=True)
             plain = x_g(h, with_t=False)
             assert weighted.map_coeffs(lambda c: c.substitute_t(1, 0)) == plain
+
+
+# ---------------------------------------------------------------------------
+# The shared coloring census against a brute-force oracle
+# ---------------------------------------------------------------------------
+
+def _brute_monomial(h, proper, with_t):
+    """Monomial coefficients of X_H / LLT_H straight from the definition,
+    over all n^n colorings of h."""
+    n = h.n
+    hists = {}
+    for colors in product(range(1, n + 1), repeat=n):
+        if proper and any(colors[u - 1] == colors[v - 1] for u, v in h.edges):
+            continue
+        content = [colors.count(c) for c in range(1, n + 1)]
+        if content != sorted(content, reverse=True):
+            continue
+        lam = tuple(c for c in content if c)
+        asc = sum(colors[u - 1] < colors[v - 1] for u, v in h.edges) if with_t else 0
+        hist = hists.setdefault(lam, {})
+        hist[asc] = hist.get(asc, 0) + 1
+    return {lam: LaurentQT({(0, asc): Fraction(c) for asc, c in hist.items()})
+            for lam, hist in hists.items()}
+
+
+def test_census_matches_brute_force_on_every_sandwich_graph():
+    for n in range(1, 5):
+        for mu in partitions_of(n):
+            data = attacking_data(mu)
+            added = [edge for edge, _, _ in data.down_edges]
+            proper = coloring_census(data.g, added)
+            every = coloring_census(data.g, added, proper=False)
+            for mask in range(1 << len(added)):
+                h = data.g.with_edges(added[i] for i in range(len(added)) if mask >> i & 1)
+                for with_t in (True, False):
+                    assert from_census(proper, mask, with_t).coeffs == \
+                        _brute_monomial(h, True, with_t), (mu, mask, with_t)
+                assert from_census(every, mask).coeffs == _brute_monomial(h, False, True), (mu, mask)
+
+
+def test_census_audits_each_sandwich_graph():
+    # adding (2,3) to the edge (1,3) makes the crooked cherry of
+    # test_x_g_symmetry_audit; the graph without it is symmetric
+    census = coloring_census(UGraph(3, [(1, 3)]), [(2, 3)])
+    assert from_census(census, 0) == x_g(UGraph(3, [(1, 3)]))
+    with pytest.raises(IdentityViolation):
+        from_census(census, 1)
+    with pytest.raises(ValueError):
+        from_census(census, 2)
+
+
+@pytest.mark.parametrize("added", [
+    [(2, 2)],            # a loop
+    [(1, 4)],            # outside 1..3
+    [(2, 3), (3, 2)],    # the same edge twice
+    [(3, 1)],            # already an edge of the graph
+])
+def test_census_rejects_added_edges_that_are_not_new(added):
+    with pytest.raises(ValueError):
+        coloring_census(UGraph(3, [(1, 3)]), added)
+
+
+def test_identity_violation_is_one_class():
+    assert IdentityViolation is graphs.IdentityViolation is macchroma.IdentityViolation
+
+
+_OPTIMIZED_CHECKS = """
+import sys
+from macchroma import graphs
+from macchroma.chromatic import IdentityViolation, coloring_census
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+try:
+    coloring_census(graphs.UGraph(3, [(1, 3)]), [(1, 3)])
+except ValueError:
+    pass
+else:
+    sys.exit("an added edge already in the graph was accepted")
+# break each attacking-graph invariant in turn; each must still raise
+breaks = [
+    ("with_edges", lambda self, extra: graphs.UGraph(self.n)),  # drops the edges of G
+    ("with_edges", lambda self, extra: self),                    # drops the down-edges
+    ("is_claw_free", lambda h: False),
+]
+for name, broken in breaks:
+    owner = graphs.UGraph if name == "with_edges" else graphs
+    saved = getattr(owner, name)
+    setattr(owner, name, broken)
+    try:
+        graphs.AttackingData((2, 1))
+    except IdentityViolation:
+        pass
+    else:
+        sys.exit(f"AttackingData accepted a broken {name}")
+    setattr(owner, name, saved)
+print("ok")
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], env=env,
+                          capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "ok"), proc.stderr

@@ -1,5 +1,6 @@
 import json
 
+from macchroma import verify
 from macchroma.verify import (
     VerifyReport,
     check_chromatic_mu,
@@ -9,6 +10,7 @@ from macchroma.verify import (
     run_conjecture,
     run_suite,
     run_suites,
+    scan_palindromic_mu,
     worker_count,
 )
 
@@ -76,3 +78,37 @@ def test_report_counterexample_invariant():
                            "expected": "a", "actual": "b"}, 0.0)
     assert not report.ok()
     assert "counterexample" in report.to_text()
+
+
+def test_every_failing_item_carries_its_own_counterexample():
+    report = run_conjecture("palindromic", 5, 3)
+    failing = [item for item in report.items if item["status"] == "fail"]
+    assert len(failing) == 10
+    for item in failing:
+        assert item == {"mu": item["mu"], "status": "fail",
+                        "counterexample": scan_palindromic_mu((tuple(item["mu"]), 3))}
+    by_mu = {tuple(item["mu"]): item["counterexample"] for item in failing}
+    assert by_mu[(2, 1)] == {"mu": [2, 1], "check": "palindromic_k3", "basis": "schur",
+                             "index": [2, 1], "expected": "nonnegative", "actual": "-t^2"}
+    # the report's own counterexample and the text output are as before
+    assert report.counterexample == failing[0]["counterexample"]
+    assert report.counterexample["mu"] == [1, 1]
+    assert all(set(item) == {"mu", "status"} for item in report.items if item["status"] == "pass")
+    lines = report.to_text().splitlines()
+    assert lines[1:1 + len(report.items)] == [
+        f"  mu=({','.join(map(str, item['mu']))}): {item['status']}" for item in report.items]
+    assert lines[-2] == f"  first counterexample: {report.counterexample}"
+
+
+def test_suite_report_keeps_every_witness(monkeypatch):
+    def fake(mu):
+        if len(mu) == 1:
+            return {"mu": list(mu), "status": "pass"}
+        return {"mu": list(mu), "check": "fake", "basis": None, "index": None,
+                "expected": "one row", "actual": str(len(mu))}
+
+    monkeypatch.setitem(verify._SUITE_ITEM, "jack", fake)
+    report = run_suite("jack", 3)
+    assert report.counterexample == fake((1, 1))
+    assert [item.get("counterexample") for item in report.items] == [
+        None if len(item["mu"]) == 1 else fake(tuple(item["mu"])) for item in report.items]
