@@ -33,7 +33,7 @@ from .macdonald import (
     wt_mu,
     wt_p,
 )
-from .rings import AlphaPoly, InexactDivision, LaurentQT, NonInvertible, RatFunQT
+from .rings import AlphaPoly, InexactDivision, LaurentQT, NonInvertible
 from .shapes import (
     Diagram,
     attacking_pairs,

@@ -29,7 +29,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .graphs import IdentityViolation, UGraph, all_colorings, is_claw_free, proper_colorings
-from .rings import LaurentQT, RatFunQT
+from .rings import LaurentQT
 from .shapes import partitions_of
 from .symfunc import SymFunc, convert, omega, z_of
 
@@ -305,18 +305,24 @@ def _has_graph_descent(sigma, block_of, h: UGraph) -> bool:
     return False
 
 
+def _nontrivial_lr_max_at(sigma, block_of, j: int, h: UGraph) -> bool:
+    """Whether position j (0-based) holds a nontrivial left-to-right graph
+    maximum: j is not the first position of its block, and every earlier
+    entry of the block is smaller than sigma[j] and not joined to it in h."""
+    if j == 0 or block_of[j] != block_of[j - 1]:
+        return False
+    i = j - 1
+    while i >= 0 and block_of[i] == block_of[j]:
+        if sigma[i] > sigma[j] or h.has_edge(sigma[i], sigma[j]):
+            return False
+        i -= 1
+    return True
+
+
 def _has_nontrivial_lr_maximum(sigma, block_of, h: UGraph) -> bool:
+    # block starts are skipped before the call: n_lambda runs this on every permutation
     for j in range(1, len(sigma)):
-        if block_of[j] != block_of[j - 1]:
-            continue
-        i = j - 1
-        ok = True
-        while i >= 0 and block_of[i] == block_of[j]:
-            if sigma[i] > sigma[j] or h.has_edge(sigma[i], sigma[j]):
-                ok = False
-                break
-            i -= 1
-        if ok:
+        if block_of[j] == block_of[j - 1] and _nontrivial_lr_max_at(sigma, block_of, j, h):
             return True
     return False
 
@@ -426,15 +432,15 @@ def llt_power_tilde(h: UGraph) -> SymFunc:
     for lam in partitions_of(n):
         total = _inversion_sum(h, n_tilde(h, lam))
         value = (t_minus_1 ** (n - len(lam))) * total
-        if not value.is_zero():
-            coeffs[lam] = RatFunQT(value.scale(Fraction(1, z_of(lam))))
-    return SymFunc(n, "power", coeffs, RatFunQT)
+        coeffs[lam] = value.scale(Fraction(1, z_of(lam)))
+    return SymFunc(n, "power", coeffs, LaurentQT)
 
 
 def verify_plethysm(h: UGraph) -> bool:
     """Cross-check every LLT power sum route of h against direct enumeration.
 
-    Checks, all as exact RatFunQT identities, for every lambda:
+    Checks, for every lambda, each quotient cleared of its denominator so
+    that both sides are Laurent polynomials:
       1. the tilde formula equals omega of the enumerated LLT,
       2. the N_lambda inversion sum, divided by the product of the
          t-analogues of the parts, equals the same,
@@ -457,22 +463,21 @@ def _plethysm_holds(h: UGraph, llt: SymFunc, x: SymFunc) -> bool:
     t_minus_1 = LaurentQT.parse("-1 + t")
 
     for lam in partitions_of(n):
-        want = RatFunQT(direct.get(lam))
+        want = direct.get(lam)
         total = _inversion_sum(h, n_lambda(h, lam))
         analogue = LaurentQT.one()
         for part in lam:
             analogue = analogue * t_analogue(part)
+        # check 2 as num/z_lambda = want * prod [part]_t
         num = (t_minus_1 ** (n - len(lam))) * total
-        divided = RatFunQT(num.scale(Fraction(1, z_of(lam))), analogue)
-        if tilde.get(lam) != want or divided != want:
+        if tilde.get(lam) != want or num.scale(Fraction(1, z_of(lam))) != want * analogue:
             return False
-        # plethystic identity LLT = (t-1)^n X[x/(t-1)]
+        # plethystic identity LLT = (t-1)^n X[x/(t-1)], as
+        # LLT_lambda * prod (t^part - 1) = X_lambda * (t-1)^n
         den = LaurentQT.one()
         for part in lam:
             den = den * (LaurentQT.term(1, 0, part) - LaurentQT.one())
-        lhs = RatFunQT(llt_power.get(lam))
-        rhs = RatFunQT(x_power.get(lam) * t_minus_1**n, den)
-        if lhs != rhs:
+        if llt_power.get(lam) * den != x_power.get(lam) * t_minus_1**n:
             return False
         # divisibility of the N_lambda sum by the t-analogue product
         try:

@@ -8,11 +8,9 @@ sandwich enumeration, edge-subset expansions) works from this data.
 
 from __future__ import annotations
 
-from .shapes import Diagram, check_partition
+from functools import lru_cache
 
-
-class IdentityViolation(ArithmeticError):
-    """A theorem-level identity failed; signals a bug or an input outside scope."""
+from .shapes import Diagram, IdentityViolation, check_partition
 
 
 class UGraph:
@@ -90,7 +88,10 @@ class AttackingData:
         self.down_edges = tuple(down_edges)
 
 
+@lru_cache(maxsize=128)
 def attacking_data(mu) -> AttackingData:
+    """The attacking data of mu (a tuple), shared by every route and suite
+    that asks for the same partition; the cache holds the last 128."""
     return AttackingData(mu)
 
 

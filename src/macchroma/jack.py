@@ -11,8 +11,6 @@ the input diagram.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .chromatic import x_g
 from .graphs import UGraph, attacking_data, component_partition
 from .macdonald import IFTableau, ift_enumerate, non_attacking_fillings
@@ -21,18 +19,13 @@ from .shapes import check_partition, partitions_of
 from .symfunc import SymFunc
 
 
-@lru_cache(maxsize=None)
-def _attacking(mu):
-    return attacking_data(mu)
-
-
 def hook_alpha(arm: int, leg: int) -> AlphaPoly:
     """a*(leg+1) + arm."""
-    return AlphaPoly({1: leg + 1, 0: arm})
+    return AlphaPoly({(1,): leg + 1, (0,): arm})
 
 
 def _hooks_by_edge(mu):
-    data = _attacking(mu)
+    data = attacking_data(mu)
     return {edge: hook_alpha(arm_u, leg_u) for edge, arm_u, leg_u in data.down_edges}
 
 
@@ -42,7 +35,7 @@ def jack_knop_sahi(mu) -> SymFunc:
     n = sum(mu)
     if n == 0:
         return SymFunc(0, "monomial", {(): AlphaPoly.one()}, AlphaPoly)
-    data = _attacking(mu)
+    data = attacking_data(mu)
     k = len(data.down_edges)
     one_plus_hook = [
         AlphaPoly.one() + hook_alpha(arm_u, leg_u) for (_, arm_u, leg_u) in data.down_edges
@@ -70,7 +63,7 @@ def jack_knop_sahi(mu) -> SymFunc:
 
 
 def _alpha_constant(laurent) -> AlphaPoly:
-    return AlphaPoly({0: laurent.constant_value()})
+    return AlphaPoly({(0,): laurent.constant_value()})
 
 
 def jack_chromatic(mu) -> SymFunc:
@@ -79,7 +72,7 @@ def jack_chromatic(mu) -> SymFunc:
     n = sum(mu)
     if n == 0:
         return SymFunc(0, "monomial", {(): AlphaPoly.one()}, AlphaPoly)
-    data = _attacking(mu)
+    data = attacking_data(mu)
     k = len(data.down_edges)
     hooks = [hook_alpha(arm_u, leg_u) for (_, arm_u, leg_u) in data.down_edges]
     total = SymFunc(n, "monomial", {}, AlphaPoly)
@@ -106,7 +99,7 @@ def wt_alpha(tableau: IFTableau) -> AlphaPoly:
     Per down-edge {u, v}: multiply by 1+hook(u) when u sits immediately left
     of v, by -hook(u) when u sits immediately above v, and by 1 otherwise.
     """
-    data = _attacking(tableau.mu)
+    data = attacking_data(tableau.mu)
     pos = {}
     for r, row in enumerate(tableau.rows, start=1):
         for c, entry in enumerate(row, start=1):
@@ -147,7 +140,7 @@ def jack_power(mu, sign_on_total_edges: bool = False) -> SymFunc:
     n = sum(mu)
     if n == 0:
         return SymFunc(0, "power", {(): AlphaPoly.one()}, AlphaPoly)
-    data = _attacking(mu)
+    data = attacking_data(mu)
     hooks = _hooks_by_edge(mu)
     g_edges = data.g.edge_set()
     edges = data.g_plus.edges

@@ -19,13 +19,13 @@ and ``j_chromatic`` raises ``IdentityViolation`` if they do not.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .chromatic import (
     IdentityViolation,
     BlockPermutation,
     _has_graph_descent,
     _has_nontrivial_lr_maximum,
+    _nontrivial_lr_max_at,
     graph_tableaux,
     n_lambda,
     perm_inv,
@@ -47,11 +47,6 @@ def _binom2(k: int) -> int:
 def _one_minus_qt(q_exp: int, t_exp: int) -> LaurentQT:
     """1 - q^q_exp * t^t_exp."""
     return LaurentQT.one() - LaurentQT.term(1, q_exp, t_exp)
-
-
-@lru_cache(maxsize=None)
-def _attacking(mu):
-    return attacking_data(mu)
 
 
 def prefactor(mu) -> LaurentQT:
@@ -146,7 +141,7 @@ def j_hhl(mu) -> SymFunc:
     n = diagram.n
     if n == 0:
         return SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
-    data = _attacking(mu)
+    data = attacking_data(mu)
     nz = n_stat(conjugate(mu))
     k = len(data.down_edges)
     equal_factor = [_one_minus_qt(leg + 1, arm + 1) for (_, arm, leg) in data.down_edges]
@@ -182,7 +177,7 @@ def j_chromatic(mu) -> SymFunc:
     n = sum(mu)
     if n == 0:
         return SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
-    data = _attacking(mu)
+    data = attacking_data(mu)
     in_factor = [-_one_minus_qt(leg + 1, arm) for (_, arm, leg) in data.down_edges]
     out_factor = [_one_minus_qt(leg + 1, arm + 1) for (_, arm, leg) in data.down_edges]
     k = len(data.down_edges)
@@ -239,7 +234,7 @@ def ift_enumerate(mu):
     """All integral form tableaux of type mu, shapes in descending lex order."""
     mu = check_partition(mu)
     n = sum(mu)
-    data = _attacking(mu)
+    data = attacking_data(mu)
     for lam in partitions_of(n):
         for rows in graph_tableaux(lam, n, data.g, data.g_plus):
             yield IFTableau(mu, lam, rows)
@@ -253,7 +248,7 @@ def wt_mu(tableau: IFTableau) -> LaurentQT:
     or anything else); the whole product is scaled by t to the number of
     attacking edges whose smaller label sits in a strictly higher row.
     """
-    data = _attacking(tableau.mu)
+    data = attacking_data(tableau.mu)
     pos = {}
     for r, row in enumerate(tableau.rows, start=1):
         for c, entry in enumerate(row, start=1):
@@ -293,18 +288,6 @@ def j_schur(mu) -> SymFunc:
 # Power sum formula
 # ---------------------------------------------------------------------------
 
-def _is_lr_graph_max_at(sigma, block_of, j, graph) -> bool:
-    """Nontrivial left-to-right graph maximum at position j (0-based)."""
-    if j == 0 or block_of[j] != block_of[j - 1]:
-        return False
-    i = j - 1
-    while i >= 0 and block_of[i] == block_of[j]:
-        if sigma[i] > sigma[j] or graph.has_edge(sigma[i], sigma[j]):
-            return False
-        i -= 1
-    return True
-
-
 def wt_p(bp: BlockPermutation, mu) -> LaurentQT:
     """Weight of a block permutation in the power sum formula.
 
@@ -317,7 +300,7 @@ def wt_p(bp: BlockPermutation, mu) -> LaurentQT:
     graph, v anywhere before u, or u before v.
     """
     mu = check_partition(mu)
-    data = _attacking(mu)
+    data = attacking_data(mu)
     sigma = bp.sigma
     block_of = bp.block_of
     if _has_graph_descent(sigma, block_of, data.g_plus) or _has_nontrivial_lr_maximum(
@@ -330,7 +313,7 @@ def wt_p(bp: BlockPermutation, mu) -> LaurentQT:
         pu, pv = pos_of[u], pos_of[v]
         if pu == pv + 1 and block_of[pu] == block_of[pv]:
             factor = LaurentQT.term(-1, 0, 1) * _one_minus_qt(leg_u + 1, arm_u)
-        elif _is_lr_graph_max_at(sigma, block_of, pv, data.g):
+        elif _nontrivial_lr_max_at(sigma, block_of, pv, data.g):
             factor = -_one_minus_qt(leg_u + 1, arm_u)
         elif pv < pu:
             factor = ONE_MINUS_T
@@ -346,7 +329,7 @@ def j_power(mu) -> SymFunc:
     n = sum(mu)
     if n == 0:
         return SymFunc(0, "power", {(): LaurentQT.one()}, LaurentQT)
-    data = _attacking(mu)
+    data = attacking_data(mu)
     pref = prefactor(mu)
     coeffs = {}
     for lam in partitions_of(n):

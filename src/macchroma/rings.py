@@ -1,28 +1,35 @@
 """Exact coefficient rings.
 
-Three rings cover every computation in the package:
+Two rings cover every computation in the package, and one sparse
+implementation serves both:
 
-* ``LaurentQT`` -- bivariate Laurent polynomials in q and t over
-  arbitrary-precision rationals (``fractions.Fraction``).
-* ``RatFunQT``  -- formal quotients of two ``LaurentQT`` values, compared by
-  cross-multiplication.  No GCD reduction is attempted.
-* ``AlphaPoly`` -- univariate polynomials in the deformation parameter
-  (printed ``a``) over rationals.
+* ``LaurentQT`` -- Laurent polynomials in q and t over arbitrary-precision
+  rationals (``fractions.Fraction``);
+* ``AlphaPoly`` -- polynomials in the deformation parameter (printed ``a``)
+  over the rationals.  It is the one-variable case of ``LaurentQT``'s code
+  and adds only that exponents are nonnegative, and evaluation.
 
-All values are immutable after construction and safe to share across
-threads.  Canonical printing orders terms by ascending q-exponent, then
-ascending t-exponent, so string output is deterministic.
+A value maps exponent tuples, one entry per variable (``(q_exp, t_exp)``,
+or ``(a_exp,)``), to nonzero Fractions.  Construction, arithmetic,
+equality, hashing, parsing and printing all live in ``LaurentQT``'s class
+body and read the variables off the class.  Values are immutable after
+construction and safe to share across threads.  Canonical printing orders
+terms by ascending exponent tuple (q before t), so string output is
+deterministic.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
+from operator import add, sub
 
 # Exponents are bounded machine integers; desk-scale degrees never get near
-# this, but the bound is asserted so silent wraparound can never occur if the
-# code is ever ported to fixed-width arithmetic.
+# this, but every constructed value is checked so silent wraparound can never
+# occur if the code is ever ported to fixed-width arithmetic.
 _EXP_BOUND = 1 << 31
+_ZERO = Fraction(0)
 
 _RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 _VAR_RE = re.compile(r"^([a-zA-Z])(?:\^(-?\d+))?$")
@@ -42,31 +49,6 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-
-
-def _format_terms(items) -> str:
-    """Join (variable-part, coefficient) pairs into the canonical text form.
-
-    ``items`` is an ordered list of ``(varpart, coeff)`` where ``varpart`` is
-    e.g. ``"q*t^2"`` or ``""`` for a constant term.
-    """
-    if not items:
-        return "0"
-    pieces = []
-    for varpart, coeff in items:
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        if not varpart:
-            body = str(mag)
-        elif mag == 1:
-            body = varpart
-        else:
-            body = f"{mag}*{varpart}"
-        if not pieces:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f" - {body}" if neg else f" + {body}")
-    return "".join(pieces)
 
 
 def _parse_term(token: str, varnames: tuple[str, ...]):
@@ -126,52 +108,67 @@ def _parse_expr(text: str, varnames: tuple[str, ...]):
 
 
 class LaurentQT:
-    """Bivariate Laurent polynomial in q and t with rational coefficients.
+    """Laurent polynomial in q and t with rational coefficients.
 
     Terms are stored sparsely as ``{(q_exp, t_exp): Fraction}`` with no zero
-    coefficients.  Instances are immutable; all operations return new values.
+    coefficients.  Instances are immutable; all operations return new values
+    of the operands' class, so subclasses over other variables (``VARS``)
+    and another lowest exponent (``_MIN_EXP``) share every method.
     """
 
     __slots__ = ("_terms",)
+    VARS = ("q", "t")
+    _MIN_EXP = 1 - _EXP_BOUND
 
     def __init__(self, terms=None):
-        tidy: dict[tuple[int, int], Fraction] = {}
+        tidy: dict[tuple[int, ...], Fraction] = {}
         if terms:
-            for (qa, tb), c in terms.items():
-                c = _as_fraction(c)
-                if c == 0:
-                    continue
-                assert abs(qa) < _EXP_BOUND and abs(tb) < _EXP_BOUND, "exponent overflow"
-                tidy[(qa, tb)] = c
+            for key, c in terms.items():
+                if c.__class__ is not Fraction:
+                    c = _as_fraction(c)
+                if c:
+                    tidy[key] = c
+        if tidy:
+            # every exponent of every key, checked in one pass; most values
+            # built by term, one and from_int have a single key
+            flat = next(iter(tidy)) if len(tidy) == 1 else tuple(chain.from_iterable(tidy))
+            if len(flat) != len(self.VARS) * len(tidy):
+                raise ValueError(f"{type(self).__name__} keys need one exponent per variable {self.VARS}")
+            lo, hi = min(flat), max(flat)
+            if lo < self._MIN_EXP or hi >= _EXP_BOUND:
+                if max(-lo, hi) >= _EXP_BOUND:
+                    raise OverflowError(f"{type(self).__name__} exponent overflow")
+                raise ValueError(f"negative exponent in {type(self).__name__}")
         object.__setattr__(self, "_terms", tidy)
 
     def __setattr__(self, name, value):
-        raise AttributeError("LaurentQT is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentQT":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentQT":
-        return cls({(0, 0): Fraction(1)})
+    def one(cls):
+        return cls({(0,) * len(cls.VARS): Fraction(1)})
 
     @classmethod
-    def from_int(cls, n) -> "LaurentQT":
-        return cls({(0, 0): Fraction(n)})
+    def from_int(cls, n):
+        return cls({(0,) * len(cls.VARS): Fraction(n)})
 
     @classmethod
-    def term(cls, coeff, q_exp: int = 0, t_exp: int = 0) -> "LaurentQT":
-        return cls({(q_exp, t_exp): _as_fraction(coeff)})
+    def term(cls, coeff, *exps: int):
+        """``coeff`` times the monomial with these exponents (missing ones 0)."""
+        return cls({exps + (0,) * (len(cls.VARS) - len(exps)): _as_fraction(coeff)})
 
     @classmethod
-    def parse(cls, text: str) -> "LaurentQT":
-        terms: dict[tuple[int, int], Fraction] = {}
-        for coeff, exps in _parse_expr(text, ("q", "t")):
-            key = (exps.get("q", 0), exps.get("t", 0))
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+    def parse(cls, text: str):
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for coeff, exps in _parse_expr(text, cls.VARS):
+            key = tuple(exps.get(name, 0) for name in cls.VARS)
+            terms[key] = terms.get(key, _ZERO) + coeff
         return cls(terms)
 
     # -- inspection --------------------------------------------------------
@@ -183,17 +180,8 @@ class LaurentQT:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == {(0, 0): Fraction(1)}
-
-    def coefficient(self, q_exp: int, t_exp: int) -> Fraction:
-        return self._terms.get((q_exp, t_exp), Fraction(0))
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def has_negative_exponents(self) -> bool:
-        return any(qa < 0 or tb < 0 for qa, tb in self._terms)
+        return any(min(key) < 0 for key in self._terms)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self._terms.values())
@@ -204,68 +192,69 @@ class LaurentQT:
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (every exponent zero)."""
         if not self._terms:
-            return Fraction(0)
-        if set(self._terms) != {(0, 0)}:
+            return _ZERO
+        origin = (0,) * len(self.VARS)
+        if set(self._terms) != {origin}:
             raise ValueError("not a constant polynomial")
-        return self._terms[(0, 0)]
+        return self._terms[origin]
 
     # -- ring operations ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentQT) and self._terms == other._terms
+        return type(other) is type(self) and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other: "LaurentQT") -> "LaurentQT":
+    def __add__(self, other):
         acc = dict(self._terms)
         for key, c in other._terms.items():
-            s = acc.get(key, Fraction(0)) + c
+            s = acc.get(key, _ZERO) + c
             if s:
                 acc[key] = s
             else:
-                acc.pop(key, None)
-        return LaurentQT(acc)
+                del acc[key]
+        return self.__class__(acc)
 
-    def __neg__(self) -> "LaurentQT":
-        return LaurentQT({key: -c for key, c in self._terms.items()})
+    def __neg__(self):
+        return self.__class__({key: -c for key, c in self._terms.items()})
 
-    def __sub__(self, other: "LaurentQT") -> "LaurentQT":
+    def __sub__(self, other):
         acc = dict(self._terms)
         for key, c in other._terms.items():
-            s = acc.get(key, Fraction(0)) - c
+            s = acc.get(key, _ZERO) - c
             if s:
                 acc[key] = s
             else:
-                acc.pop(key, None)
-        return LaurentQT(acc)
+                del acc[key]
+        return self.__class__(acc)
 
-    def __mul__(self, other: "LaurentQT") -> "LaurentQT":
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (qa, tb), c in self._terms.items():
-            for (qc, td), d in other._terms.items():
-                key = (qa + qc, tb + td)
-                s = acc.get(key, Fraction(0)) + c * d
+    def __mul__(self, other):
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for k1, c in self._terms.items():
+            for k2, d in other._terms.items():
+                key = tuple(map(add, k1, k2))
+                s = acc.get(key, _ZERO) + c * d
                 if s:
                     acc[key] = s
                 else:
-                    acc.pop(key, None)
-        return LaurentQT(acc)
+                    del acc[key]
+        return self.__class__(acc)
 
-    def scale(self, scalar) -> "LaurentQT":
+    def scale(self, scalar):
         scalar = _as_fraction(scalar)
         if scalar == 0:
-            return LaurentQT()
-        return LaurentQT({key: c * scalar for key, c in self._terms.items()})
+            return self.__class__()
+        return self.__class__({key: c * scalar for key, c in self._terms.items()})
 
-    def __pow__(self, k: int) -> "LaurentQT":
+    def __pow__(self, k: int):
         if k < 0:
             if len(self._terms) != 1:
                 raise NonInvertible("non-invertible element")
-            ((qa, tb), c), = self._terms.items()
-            base = LaurentQT({(-qa, -tb): 1 / c})
+            (key, c), = self._terms.items()
+            base = self.__class__({tuple(-e for e in key): 1 / c})
             return base ** (-k)
-        result = LaurentQT.one()
+        result = self.one()
         base = self
         while k:
             if k & 1:
@@ -278,40 +267,35 @@ class LaurentQT:
 
     def substitute_q(self, sign: int, t_exp: int) -> "LaurentQT":
         """Replace q by ``sign * t**t_exp`` (sign must be +1 or -1)."""
-        if sign not in (1, -1):
-            raise ValueError("substitution image must have coefficient +1 or -1")
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (qa, tb), c in self._terms.items():
-            key = (0, tb + qa * t_exp)
-            val = c if (sign == 1 or qa % 2 == 0) else -c
-            s = acc.get(key, Fraction(0)) + val
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-        return LaurentQT(acc)
+        return self._substitute(0, sign, t_exp)
 
     def substitute_t(self, sign: int, q_exp: int) -> "LaurentQT":
         """Replace t by ``sign * q**q_exp`` (sign must be +1 or -1)."""
+        return self._substitute(1, sign, q_exp)
+
+    def _substitute(self, var: int, sign: int, exp: int) -> "LaurentQT":
+        """Replace variable ``var`` (0 for q, 1 for t) by ``sign`` times the
+        other variable to the power ``exp``."""
         if sign not in (1, -1):
             raise ValueError("substitution image must have coefficient +1 or -1")
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (qa, tb), c in self._terms.items():
-            key = (qa + tb * q_exp, 0)
-            val = c if (sign == 1 or tb % 2 == 0) else -c
-            s = acc.get(key, Fraction(0)) + val
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for key, c in self._terms.items():
+            e = key[var]
+            kept = key[1 - var] + e * exp
+            image = (0, kept) if var == 0 else (kept, 0)
+            s = acc.get(image, _ZERO) + (-c if sign < 0 and e % 2 else c)
             if s:
-                acc[key] = s
+                acc[image] = s
             else:
-                acc.pop(key, None)
+                del acc[image]
         return LaurentQT(acc)
 
     # -- division ----------------------------------------------------------
 
-    def _valuations(self) -> tuple[int, int]:
-        return (min(qa for qa, _ in self._terms), min(tb for _, tb in self._terms))
+    def _valuations(self) -> tuple[int, ...]:
+        return tuple(map(min, zip(*self._terms)))
 
-    def exact_div(self, divisor: "LaurentQT") -> "LaurentQT":
+    def exact_div(self, divisor):
         """Exact quotient self / divisor; raises InexactDivision otherwise.
 
         Both operands may be Laurent; valuations are stripped first, then
@@ -320,30 +304,29 @@ class LaurentQT:
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
-            return LaurentQT()
-        va_q, va_t = self._valuations()
-        vd_q, vd_t = divisor._valuations()
-        rem = {(qa - va_q, tb - va_t): c for (qa, tb), c in self._terms.items()}
-        den = {(qa - vd_q, tb - vd_t): c for (qa, tb), c in divisor._terms.items()}
+            return self.__class__()
+        va, vd = self._valuations(), divisor._valuations()
+        rem = {tuple(map(sub, key, va)): c for key, c in self._terms.items()}
+        den = {tuple(map(sub, key, vd)): c for key, c in divisor._terms.items()}
         lead_d = max(den)
         lead_dc = den[lead_d]
-        quot: dict[tuple[int, int], Fraction] = {}
+        quot: dict[tuple[int, ...], Fraction] = {}
         while rem:
             lead_r = max(rem)
-            dq, dt = lead_r[0] - lead_d[0], lead_r[1] - lead_d[1]
-            if dq < 0 or dt < 0:
+            shift = tuple(map(sub, lead_r, lead_d))
+            if min(shift) < 0:
                 raise InexactDivision("remainder nonzero")
             factor = rem[lead_r] / lead_dc
-            quot[(dq, dt)] = factor
-            for (qa, tb), c in den.items():
-                key = (qa + dq, tb + dt)
-                s = rem.get(key, Fraction(0)) - factor * c
+            quot[shift] = factor
+            for key, c in den.items():
+                key = tuple(map(add, key, shift))
+                s = rem.get(key, _ZERO) - factor * c
                 if s:
                     rem[key] = s
                 else:
-                    rem.pop(key, None)
-        shift_q, shift_t = va_q - vd_q, va_t - vd_t
-        return LaurentQT({(qa + shift_q, tb + shift_t): c for (qa, tb), c in quot.items()})
+                    del rem[key]
+        offset = tuple(map(sub, va, vd))
+        return self.__class__({tuple(map(add, key, offset)): c for key, c in quot.items()})
 
     # -- predicates --------------------------------------------------------
 
@@ -359,241 +342,47 @@ class LaurentQT:
             return True
         lo = min(tb for _, tb in self._terms)
         hi = max(tb for _, tb in self._terms)
-        seq = [self._terms.get((0, tb), Fraction(0)) for tb in range(lo, hi + 1)]
+        seq = [self._terms.get((0, tb), _ZERO) for tb in range(lo, hi + 1)]
         return seq == seq[::-1]
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        items = []
-        for (qa, tb) in sorted(self._terms):
-            parts = []
-            if qa:
-                parts.append("q" if qa == 1 else f"q^{qa}")
-            if tb:
-                parts.append("t" if tb == 1 else f"t^{tb}")
-            items.append(("*".join(parts), self._terms[(qa, tb)]))
-        return _format_terms(items)
-
-    def __repr__(self) -> str:
-        return f"LaurentQT({self})"
-
-
-def lp_arith(a: LaurentQT, b: LaurentQT, op: str) -> LaurentQT:
-    """Dispatch form of the basic ring operations (add, sub, mul)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-class AlphaPoly:
-    """Univariate polynomial over the rationals in the parameter ``a``."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=None):
-        tidy: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = _as_fraction(c)
-                if c == 0:
-                    continue
-                if e < 0:
-                    raise ValueError("negative exponent in AlphaPoly")
-                assert e < _EXP_BOUND, "exponent overflow"
-                tidy[e] = c
-        object.__setattr__(self, "_coeffs", tidy)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlphaPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "AlphaPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "AlphaPoly":
-        return cls({0: Fraction(1)})
-
-    @classmethod
-    def from_int(cls, n) -> "AlphaPoly":
-        return cls({0: Fraction(n)})
-
-    @classmethod
-    def term(cls, coeff, exp: int = 0) -> "AlphaPoly":
-        return cls({exp: _as_fraction(coeff)})
-
-    @classmethod
-    def parse(cls, text: str) -> "AlphaPoly":
-        coeffs: dict[int, Fraction] = {}
-        for coeff, exps in _parse_expr(text, ("a",)):
-            e = exps.get("a", 0)
-            coeffs[e] = coeffs.get(e, Fraction(0)) + coeff
-        return cls(coeffs)
-
-    @property
-    def coeffs(self):
-        return self._coeffs
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlphaPoly) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __add__(self, other: "AlphaPoly") -> "AlphaPoly":
-        acc = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            s = acc.get(e, Fraction(0)) + c
-            if s:
-                acc[e] = s
+        pieces = []
+        for key in sorted(self._terms):
+            coeff = self._terms[key]
+            varpart = "*".join(name if e == 1 else f"{name}^{e}"
+                               for name, e in zip(self.VARS, key) if e)
+            mag = -coeff if coeff < 0 else coeff
+            if not varpart:
+                body = str(mag)
+            elif mag == 1:
+                body = varpart
             else:
-                acc.pop(e, None)
-        return AlphaPoly(acc)
-
-    def __neg__(self) -> "AlphaPoly":
-        return AlphaPoly({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other: "AlphaPoly") -> "AlphaPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "AlphaPoly") -> "AlphaPoly":
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                s = acc.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return AlphaPoly(acc)
-
-    def scale(self, scalar) -> "AlphaPoly":
-        scalar = _as_fraction(scalar)
-        if scalar == 0:
-            return AlphaPoly()
-        return AlphaPoly({e: c * scalar for e, c in self._coeffs.items()})
-
-    def __pow__(self, k: int) -> "AlphaPoly":
-        if k < 0:
-            raise ValueError("negative power of AlphaPoly")
-        result = AlphaPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def substitute(self, value: Fraction) -> Fraction:
-        """Evaluate at a rational value of the parameter."""
-        value = _as_fraction(value)
-        return sum((c * value**e for e, c in self._coeffs.items()), Fraction(0))
-
-    def __str__(self) -> str:
-        items = []
-        for e in sorted(self._coeffs):
-            varpart = "" if e == 0 else ("a" if e == 1 else f"a^{e}")
-            items.append((varpart, self._coeffs[e]))
-        return _format_terms(items)
+                body = f"{mag}*{varpart}"
+            if not pieces:
+                pieces.append(f"-{body}" if coeff < 0 else body)
+            else:
+                pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+        return "".join(pieces) or "0"
 
     def __repr__(self) -> str:
-        return f"AlphaPoly({self})"
+        return f"{type(self).__name__}({self})"
 
 
-def ap_arith(a: AlphaPoly, b: AlphaPoly, op: str) -> AlphaPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
+class AlphaPoly(LaurentQT):
+    """Polynomial over the rationals in the parameter ``a``, stored as
+    ``{(a_exp,): Fraction}``; negative exponents are rejected.
 
-
-class RatFunQT:
-    """Formal quotient of two LaurentQT values.
-
-    Equality is decided by cross-multiplication; no GCD reduction is done, so
-    numerators and denominators grow.  Used only where a genuine division is
-    unavoidable (plethysm checks), always transiently.
+    The q,t-specific methods (``substitute_q``/``substitute_t``,
+    ``is_palindromic_in_t``) do not apply to it.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
+    VARS = ("a",)
+    _MIN_EXP = 0
 
-    def __init__(self, num: LaurentQT, den: LaurentQT = None):
-        if den is None:
-            den = LaurentQT.one()
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = LaurentQT.one()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunQT is immutable")
-
-    @classmethod
-    def zero(cls) -> "RatFunQT":
-        return cls(LaurentQT.zero())
-
-    @classmethod
-    def one(cls) -> "RatFunQT":
-        return cls(LaurentQT.one())
-
-    @classmethod
-    def from_int(cls, n) -> "RatFunQT":
-        return cls(LaurentQT.from_int(n))
-
-    @classmethod
-    def from_laurent(cls, p: LaurentQT) -> "RatFunQT":
-        return cls(p)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatFunQT):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("RatFunQT is unhashable (equality is by cross-multiplication)")
-
-    def __add__(self, other: "RatFunQT") -> "RatFunQT":
-        return RatFunQT(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFunQT":
-        return RatFunQT(-self.num, self.den)
-
-    def __sub__(self, other: "RatFunQT") -> "RatFunQT":
-        return self + (-other)
-
-    def __mul__(self, other: "RatFunQT") -> "RatFunQT":
-        return RatFunQT(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunQT") -> "RatFunQT":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return RatFunQT(self.num * other.den, self.den * other.num)
-
-    def scale(self, scalar) -> "RatFunQT":
-        return RatFunQT(self.num.scale(scalar), self.den)
-
-    def __str__(self) -> str:
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFunQT({self})"
+    def substitute(self, value) -> Fraction:
+        """Evaluate at a rational value of the parameter."""
+        value = _as_fraction(value)
+        return sum((c * value**e for (e,), c in self._terms.items()), _ZERO)

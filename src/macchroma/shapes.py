@@ -16,6 +16,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 
+class IdentityViolation(ArithmeticError):
+    """A theorem-level identity failed; signals a bug or an input outside scope."""
+
+
 def check_partition(parts) -> tuple[int, ...]:
     """Validate and normalize a partition given as an iterable of parts."""
     mu = tuple(int(p) for p in parts)
@@ -52,7 +56,8 @@ def n_stat(lam) -> int:
     lam = tuple(lam)
     value = sum(i * part for i, part in enumerate(lam))
     legs = sum(Diagram(lam).leg_by_label[v] for v in range(1, sum(lam) + 1))
-    assert value == legs, "n-statistic definitions disagree"
+    if value != legs:
+        raise IdentityViolation(f"n-statistic definitions disagree for {lam}: {value} != {legs}")
     return value
 
 

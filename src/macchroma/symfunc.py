@@ -1,13 +1,14 @@
 """Degree-homogeneous symmetric functions over a generic coefficient ring.
 
 A ``SymFunc`` is a basis-tagged map from partitions of its degree to
-coefficients in one of the exact rings (LaurentQT, AlphaPoly, RatFunQT).
+coefficients in one of the exact rings (LaurentQT or AlphaPoly).
 Supported bases are monomial, Schur, and power sum; transitions between them
 are exact and cached per degree in a ``TransitionTable``:
 
 * Schur -> monomial through the Kostka matrix (semistandard tableau counts),
 * monomial -> Schur by unitriangular back-substitution in descending
-  lexicographic order (a linear extension of dominance),
+  lexicographic order (a linear extension of dominance); a nonzero residue
+  raises ``IdentityViolation``,
 * power -> monomial by expanding each p_k as m_(k) and multiplying out,
 * monomial -> power by applying the exact rational inverse of that matrix.
 """
@@ -18,12 +19,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .rings import AlphaPoly, LaurentQT, RatFunQT
-from .shapes import conjugate, partitions_of
+from .rings import AlphaPoly, LaurentQT
+from .shapes import IdentityViolation, conjugate, partitions_of
 
 BASES = ("monomial", "schur", "power")
 
-_RING_NAMES = {LaurentQT: "laurent_qt", AlphaPoly: "alpha", RatFunQT: "ratfun_qt"}
+_RING_NAMES = {LaurentQT: "laurent_qt", AlphaPoly: "alpha"}
 
 
 class SymFunc:
@@ -109,10 +110,6 @@ class SymFunc:
 
     def __repr__(self):
         return f"SymFunc(degree={self.degree}, basis={self.basis!r}, {len(self.coeffs)} terms)"
-
-
-def zero_symfunc(degree, basis, ring) -> SymFunc:
-    return SymFunc(degree, basis, {}, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +336,8 @@ def _monomial_to_schur(f: SymFunc) -> SymFunc:
             if k and mu != lam:
                 prior = residue.get(mu, f.ring.zero())
                 residue[mu] = prior - c.scale(Fraction(k))
-    assert all(v.is_zero() for v in residue.values()), "back-substitution residue"
+    if any(not v.is_zero() for v in residue.values()):
+        raise IdentityViolation(f"monomial to Schur back-substitution left a residue in degree {f.degree}")
     return SymFunc(f.degree, "schur", out, f.ring)
 
 

@@ -106,7 +106,7 @@ def _interpolate(points) -> AlphaPoly:
         basis = AlphaPoly.from_int(vi)
         for j, (aj, _) in enumerate(points):
             if j != i:
-                basis = basis * AlphaPoly({1: 1, 0: -aj}).scale(Fraction(1, ai - aj))
+                basis = basis * AlphaPoly({(1,): 1, (0,): -aj}).scale(Fraction(1, ai - aj))
         result = result + basis
     return result
 

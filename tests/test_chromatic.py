@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -8,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import macchroma
-from macchroma import graphs
+from macchroma import graphs, shapes
 from macchroma.chromatic import (
     IdentityViolation,
     BlockPermutation,
+    _plethysm_holds,
     coloring_census,
     from_census,
     llt_g,
@@ -26,9 +28,9 @@ from macchroma.chromatic import (
     x_g_schur,
 )
 from macchroma.graphs import UGraph, attacking_data, sandwich_graphs
-from macchroma.rings import LaurentQT, RatFunQT
+from macchroma.rings import LaurentQT
 from macchroma.shapes import partitions_of
-from macchroma.symfunc import convert, omega
+from macchroma.symfunc import SymFunc, convert, omega
 
 P = LaurentQT.parse
 
@@ -185,8 +187,32 @@ def test_llt_power_tilde_small():
     h = UGraph(2, [(1, 2)])
     tilde = llt_power_tilde(h)
     direct = omega(convert(llt_g(h), "power"))
-    for lam in partitions_of(2):
-        assert tilde.get(lam) == RatFunQT(direct.get(lam))
+    assert tilde == direct
+
+
+def _perturbed(f, lam, delta=LaurentQT.one()):
+    coeffs = dict(f.coeffs)
+    coeffs[lam] = f.get(lam) + delta
+    return SymFunc(f.degree, f.basis, coeffs, f.ring)
+
+
+def test_plethysm_checks_fail_on_one_perturbed_coefficient():
+    t_minus_1 = P("-1 + t")
+    for h in sandwich_graphs(attacking_data((2, 1))):
+        llt, x = llt_g(h), x_g(h)
+        assert _plethysm_holds(h, llt, x)
+        llt_p, x_p = convert(llt, "power"), convert(x, "power")
+        for lam in partitions_of(h.n):
+            assert not _plethysm_holds(h, _perturbed(llt, lam), x), (h, lam)
+            assert not _plethysm_holds(h, llt, _perturbed(x, lam)), (h, lam)
+            # LLT_H + (t-1)^n p_lam against X_H + prod(t^part - 1) p_lam
+            # keeps the plethystic identity, so the tilde and divided
+            # checks must be the ones that fail
+            den = LaurentQT.one()
+            for part in lam:
+                den = den * (LaurentQT.term(1, 0, part) - LaurentQT.one())
+            assert not _plethysm_holds(h, _perturbed(llt_p, lam, t_minus_1 ** h.n),
+                                       _perturbed(x_p, lam, den)), (h, lam)
 
 
 def test_verify_plethysm_small_graphs():
@@ -286,12 +312,14 @@ def test_census_rejects_added_edges_that_are_not_new(added):
 
 def test_identity_violation_is_one_class():
     assert IdentityViolation is graphs.IdentityViolation is macchroma.IdentityViolation
+    assert IdentityViolation is shapes.IdentityViolation
 
 
 _OPTIMIZED_CHECKS = """
 import sys
-from macchroma import graphs
+from macchroma import graphs, shapes, symfunc
 from macchroma.chromatic import IdentityViolation, coloring_census
+from macchroma.rings import LaurentQT
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
@@ -318,6 +346,34 @@ for name, broken in breaks:
     else:
         sys.exit(f"AttackingData accepted a broken {name}")
     setattr(owner, name, saved)
+# the exponent bound, reached by arithmetic
+try:
+    LaurentQT.term(1, 1 << 30) ** 2
+except OverflowError:
+    pass
+else:
+    sys.exit("an exponent past the bound was accepted")
+# n_stat's two definitions: give the cached diagram of (2,1) wrong legs
+diagram = shapes.Diagram((2, 1))
+legs = diagram.leg_by_label
+diagram.leg_by_label = {v: 1 for v in legs}
+try:
+    shapes.n_stat((2, 1))
+except IdentityViolation:
+    pass
+else:
+    sys.exit("n_stat accepted disagreeing definitions")
+diagram.leg_by_label = legs
+# monomial -> Schur back-substitution under a Kostka table that is not
+# unitriangular leaves a residue
+symfunc.transition_table(2).kostka = [[1, 1], [1, 1]]
+m11 = symfunc.SymFunc(2, "monomial", {(1, 1): LaurentQT.one()}, LaurentQT)
+try:
+    symfunc.convert(m11, "schur")
+except IdentityViolation:
+    pass
+else:
+    sys.exit("a back-substitution residue was accepted")
 print("ok")
 """
 
@@ -328,3 +384,14 @@ def test_invariant_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], env=env,
                           capture_output=True, text=True, check=False)
     assert (proc.returncode, proc.stdout.strip()) == (0, "ok"), proc.stderr
+
+
+def test_package_source_has_no_assert_statements():
+    # python -O strips assert statements, so an invariant must raise instead
+    package = Path(__file__).resolve().parents[1] / "src" / "macchroma"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -138,3 +138,38 @@ def test_conjecture_command(capsys):
     assert code == 4
     report = json.loads(out)
     assert report["counterexample"]["check"] == "palindromic_k2"
+
+
+# Exact stdout of commands whose printing goes through the coefficient
+# rings: rational q,t coefficients, polynomials in a, and LLT expansions.
+_GOLDEN = [
+    (["jqt", "--mu", "2,1", "--basis", "power"],
+     "(3): -1/3 + 1/3*t + 1/3*t^3 - 1/3*t^4 + 1/3*q - 1/3*q*t - 1/3*q*t^3 + 1/3*q*t^4\n"
+     "(2,1): 1/2*t - 1/2*t^2 - 1/2*t^3 + 1/2*t^4 - 1/2*q + 1/2*q*t + 1/2*q*t^2 - 1/2*q*t^3\n"
+     "(1,1,1): 1/3 - 5/6*t + 1/2*t^2 + 1/6*t^3 - 1/6*t^4 + 1/6*q - 1/6*q*t - 1/2*q*t^2 + 5/6*q*t^3 - 1/3*q*t^4\n"),
+    (["jqt", "--mu", "2,1", "--basis", "power", "--format", "json"],
+     '{"object": "symfunc", "degree": 3, "basis": "power", "ring": "laurent_qt", "terms": [{"index": [3], "coeff": "-1/3 + 1/3*t + 1/3*t^3 - 1/3*t^4 + 1/3*q - 1/3*q*t - 1/3*q*t^3 + 1/3*q*t^4"}, {"index": [2, 1], "coeff": "1/2*t - 1/2*t^2 - 1/2*t^3 + 1/2*t^4 - 1/2*q + 1/2*q*t + 1/2*q*t^2 - 1/2*q*t^3"}, {"index": [1, 1, 1], "coeff": "1/3 - 5/6*t + 1/2*t^2 + 1/6*t^3 - 1/6*t^4 + 1/6*q - 1/6*q*t - 1/2*q*t^2 + 5/6*q*t^3 - 1/3*q*t^4"}]}\n'),
+    (["jack", "--mu", "2,2", "--basis", "power", "--method", "tableaux"],
+     "(4): a - a^2\n"
+     "(3,1): -4*a\n"
+     "(2,2): 1 + a + a^2\n"
+     "(2,1,1): -2 + 2*a\n"
+     "(1,1,1,1): 1\n"),
+    (["jack", "--mu", "2,1,1", "--basis", "schur", "--format", "json"],
+     '{"object": "symfunc", "degree": 4, "basis": "schur", "ring": "alpha", "terms": [{"index": [3, 1], "coeff": "2 + 4*a + 2*a^2"}, {"index": [2, 2], "coeff": "2 - 2*a^2"}, {"index": [2, 1, 1], "coeff": "4 - 2*a - 2*a^2"}, {"index": [1, 1, 1, 1], "coeff": "2 - 6*a + 4*a^2"}]}\n'),
+    (["chromatic", "--mu", "2,2", "--llt"],
+     "(4): 1\n"
+     "(3,1): 1 + 3*t\n"
+     "(2,2): 1 + 4*t + t^2\n"
+     "(2,1,1): 1 + 7*t + 4*t^2\n"
+     "(1,1,1,1): 1 + 11*t + 11*t^2 + t^3\n"),
+    (["chromatic", "--mu", "2,1", "--llt", "--basis", "power"],
+     "(2,1): 1/2 - 1/2*t\n"
+     "(1,1,1): 1/2 + 1/2*t\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", _GOLDEN, ids=[" ".join(a) for a, _ in _GOLDEN])
+def test_golden_output(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, expected)

@@ -3,15 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from macchroma.rings import (
-    AlphaPoly,
-    InexactDivision,
-    LaurentQT,
-    NonInvertible,
-    RatFunQT,
-    ap_arith,
-    lp_arith,
-)
+from macchroma.rings import AlphaPoly, InexactDivision, LaurentQT, NonInvertible
 
 P = LaurentQT.parse
 A = AlphaPoly.parse
@@ -27,7 +19,6 @@ def random_laurent(rng, max_terms=4, span=5):
 
 def test_basic_products():
     assert P("1 - t") * P("1 - q*t") == P("1 - t - q*t + q*t^2")
-    assert lp_arith(P("1 - t"), P("1 - q*t"), "mul") == P("1 - t - q*t + q*t^2")
 
 
 def test_additive_identity_random():
@@ -35,7 +26,6 @@ def test_additive_identity_random():
     for _ in range(200):
         p = random_laurent(rng)
         assert p + LaurentQT.zero() == p
-        assert lp_arith(p, LaurentQT.zero(), "add") == p
 
 
 def test_ring_axioms_random_triples():
@@ -131,7 +121,7 @@ def test_string_round_trip_random():
         p = random_laurent(rng)
         assert LaurentQT.parse(str(p)) == p
     for _ in range(300):
-        coeffs = {rng.randint(0, 6): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        coeffs = {(rng.randint(0, 6),): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                   for _ in range(rng.randint(0, 4))}
         ap = AlphaPoly(coeffs)
         assert AlphaPoly.parse(str(ap)) == ap
@@ -149,32 +139,22 @@ def test_alpha_arithmetic():
     assert A("1 + a") * A("1 + 2*a") == A("1 + 3*a + 2*a^2")
     total = A("1") + A("1 + 2*a") - A("a + 2*a^2") - A("a")
     assert total == A("2 - 2*a^2")
-    assert ap_arith(A("3 + a"), AlphaPoly.zero(), "mul") == AlphaPoly.zero()
     assert A("2 - 2*a^2").substitute(1) == 0
     assert A("2 - 2*a^2").substitute(Fraction(1, 2)) == Fraction(3, 2)
 
 
 def test_alpha_rejects_negative_exponents():
     with pytest.raises(ValueError):
-        AlphaPoly({-1: Fraction(1)})
+        AlphaPoly({(-1,): Fraction(1)})
 
 
-def test_ratfun_equality_by_cross_multiplication():
-    half = RatFunQT(P("1 - t^2"), P("2 - 2*t"))
-    simple = RatFunQT(P("1 + t"), P("2"))
-    assert half == simple
-    assert half != RatFunQT(P("1 + t"), P("3"))
-    assert (half - simple).is_zero()
-
-
-def test_ratfun_arithmetic():
-    x = RatFunQT(P("1"), P("1 - t"))
-    y = RatFunQT(P("1"), P("1 + t"))
-    assert x * y == RatFunQT(P("1"), P("1 - t^2"))
-    assert x + y == RatFunQT(P("2"), P("1 - t^2"))
-    assert x / y == RatFunQT(P("1 + t"), P("1 - t"))
-    with pytest.raises(ZeroDivisionError):
-        RatFunQT(P("1"), LaurentQT.zero())
+def test_rings_do_not_mix():
+    # keys carry one exponent per variable of their class
+    with pytest.raises(ValueError):
+        AlphaPoly({(1, 0): Fraction(1)})
+    with pytest.raises(ValueError):
+        LaurentQT.one() + AlphaPoly.one()
+    assert AlphaPoly.zero() != LaurentQT.zero()
 
 
 def test_immutability():
@@ -183,4 +163,4 @@ def test_immutability():
         p._terms = {}
     a = A("1 + a")
     with pytest.raises(AttributeError):
-        a._coeffs = {}
+        a._terms = {}
