@@ -8,6 +8,15 @@ Expansion routes implemented here:
 * power sum basis through block permutations free of graph descents and of
   nontrivial left-to-right graph maxima (``x_g_power``).
 
+The block permutation sets N_lambda (``n_lambda``) and the LLT sets
+N~_lambda (``n_tilde``) come from one generator, ``_block_permutations``,
+which builds sigma position by position in lexicographic order and drops a
+value as soon as it breaks a condition; every condition reads only the
+prefix built so far, so the output is the n!-permutation filter's, in its
+order.  Inversion sums over these sets are counted per inversion number
+before one Laurent polynomial is built, and the t-factors of each lambda
+((t-1)^j, the t-analogue and (t^k - 1) products) are built once per lambda.
+
 The monomial routes share one enumeration, ``coloring_census``: the
 colorings of a graph G, counted per exponent vector by their ascents on G
 and by which of k added edges they leave monochromatic or ascending.  Every
@@ -15,16 +24,19 @@ sandwich graph H = G + (a subset of the added edges) is then read off that
 census by ``from_census``: a coloring is H-proper iff no added edge of H is
 monochromatic, and its H-ascents are its G-ascents plus the ascending added
 edges of H.  ``x_g`` and ``llt_g`` are the case of no added edge.
+``jack.jack_chromatic`` folds the same census by its monochromatic-edge
+mask alone (``ColoringCensus.equal_mask_counts``).
 
-Every census read off this way is audited for symmetry over full exponent
-vectors before monomial coefficients are taken; an asymmetric result means
-the graph is outside the class the expansion theorems cover, and raises
-``IdentityViolation``.
+Every census read off by ``from_census`` is audited for symmetry over full
+exponent vectors before monomial coefficients are taken; an asymmetric
+result means the graph is outside the class the expansion theorems cover,
+and raises ``IdentityViolation``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
@@ -71,6 +83,15 @@ class ColoringCensus(NamedTuple):
     k: int
     proper: bool
     counts: dict
+
+    def equal_mask_counts(self, vec) -> dict[int, int]:
+        """{equal_mask: count} over the colorings with exponent vector vec."""
+        k = self.k
+        folded: dict[int, int] = {}
+        for key, count in self.counts.get(tuple(vec), {}).items():
+            equal = key >> k & ((1 << k) - 1)
+            folded[equal] = folded.get(equal, 0) + count
+        return folded
 
 
 def coloring_census(g: UGraph, added=(), proper: bool = True) -> ColoringCensus:
@@ -282,6 +303,14 @@ class BlockPermutation:
         self.sigma = sigma
         self.block_of = tuple(block_of)
 
+    @classmethod
+    def _of_generated(cls, lam: tuple, sigma: tuple, block_of: tuple) -> "BlockPermutation":
+        """One built by ``_block_permutations``, whose sigma is a permutation
+        by construction, sharing its block_of tuple."""
+        self = object.__new__(cls)
+        self.lam, self.sigma, self.block_of = lam, sigma, block_of
+        return self
+
     def __eq__(self, other):
         return (
             isinstance(other, BlockPermutation)
@@ -296,13 +325,19 @@ class BlockPermutation:
         return f"BlockPermutation(lam={self.lam}, sigma={self.sigma})"
 
 
+def _graph_descent_at(sigma, block_of, j: int, h: UGraph) -> bool:
+    """Whether positions j-1 and j (0-based) of one block hold a graph
+    descent: sigma[j-1] > sigma[j] and the two are not joined in h."""
+    return (
+        j > 0
+        and block_of[j] == block_of[j - 1]
+        and sigma[j - 1] > sigma[j]
+        and not h.has_edge(sigma[j], sigma[j - 1])
+    )
+
+
 def _has_graph_descent(sigma, block_of, h: UGraph) -> bool:
-    for i in range(len(sigma) - 1):
-        if block_of[i] != block_of[i + 1]:
-            continue
-        if sigma[i] > sigma[i + 1] and not h.has_edge(sigma[i + 1], sigma[i]):
-            return True
-    return False
+    return any(_graph_descent_at(sigma, block_of, j, h) for j in range(1, len(sigma)))
 
 
 def _nontrivial_lr_max_at(sigma, block_of, j: int, h: UGraph) -> bool:
@@ -320,32 +355,65 @@ def _nontrivial_lr_max_at(sigma, block_of, j: int, h: UGraph) -> bool:
 
 
 def _has_nontrivial_lr_maximum(sigma, block_of, h: UGraph) -> bool:
-    # block starts are skipped before the call: n_lambda runs this on every permutation
+    # block starts are skipped before the call: wt_p runs this on every permutation
     for j in range(1, len(sigma)):
         if block_of[j] == block_of[j - 1] and _nontrivial_lr_max_at(sigma, block_of, j, h):
             return True
     return False
 
 
-def n_lambda(h: UGraph, lam) -> list:
-    """Permutations with no graph descents and no nontrivial LR graph maxima."""
-    from itertools import permutations
+def _block_permutations(h: UGraph, lam, rejects) -> list:
+    """Block permutations of h's vertices into blocks of lengths lam, in
+    lexicographic order of sigma, that ``rejects(h, sigma, block_of, start,
+    j)`` passes at no position j past the first of its block (which begins
+    at position ``start``).
 
+    sigma is built one position at a time, trying values in ascending
+    order, and a value is dropped on insertion.  That yields exactly the
+    permutations a full scan of all n! would keep, in the same order,
+    because every condition reads sigma[:j+1] only: a rejected prefix has
+    no accepted completion.
+    """
     lam = tuple(lam)
     n = sum(lam)
     if n != h.n:
         raise ValueError("partition size must equal vertex count")
     block_of = []
+    start_of = []
     for b, length in enumerate(lam):
         block_of.extend([b] * length)
+        start_of.extend([len(start_of)] * length)
+    block_of = tuple(block_of)
+    sigma = [0] * n
+    used = [False] * (n + 1)
     out = []
-    for sigma in permutations(range(1, n + 1)):
-        if _has_graph_descent(sigma, block_of, h):
-            continue
-        if _has_nontrivial_lr_maximum(sigma, block_of, h):
-            continue
-        out.append(BlockPermutation(lam, sigma))
+
+    def place(j):
+        if j == n:
+            out.append(BlockPermutation._of_generated(lam, tuple(sigma), block_of))
+            return
+        start = start_of[j]
+        for val in range(1, n + 1):
+            if used[val]:
+                continue
+            sigma[j] = val
+            if j != start and rejects(h, sigma, block_of, start, j):
+                continue
+            used[val] = True
+            place(j + 1)
+            used[val] = False
+
+    place(0)
     return out
+
+
+def _lambda_rejects(h, sigma, block_of, start, j) -> bool:
+    return _graph_descent_at(sigma, block_of, j, h) or _nontrivial_lr_max_at(sigma, block_of, j, h)
+
+
+def n_lambda(h: UGraph, lam) -> list:
+    """Permutations with no graph descents and no nontrivial LR graph maxima."""
+    return _block_permutations(h, lam, _lambda_rejects)
 
 
 def perm_inv(h: UGraph, sigma) -> int:
@@ -360,11 +428,13 @@ def perm_inv(h: UGraph, sigma) -> int:
 
 
 def _inversion_sum(h: UGraph, perms) -> LaurentQT:
-    """Sum of t^perm_inv over a list of block permutations."""
-    total = LaurentQT.zero()
+    """Sum of t^perm_inv over a list of block permutations, counted per
+    inversion number first."""
+    hist: dict[int, int] = {}
     for bp in perms:
-        total = total + LaurentQT.term(1, 0, perm_inv(h, bp.sigma))
-    return total
+        inv = perm_inv(h, bp.sigma)
+        hist[inv] = hist.get(inv, 0) + 1
+    return LaurentQT({(0, inv): count for inv, count in hist.items()})
 
 
 def x_g_power(h: UGraph) -> SymFunc:
@@ -382,6 +452,13 @@ def x_g_power(h: UGraph) -> SymFunc:
 # LLT power sum formulas and the plethystic identity
 # ---------------------------------------------------------------------------
 
+def _tilde_rejects(h, sigma, block_of, start, j) -> bool:
+    # below the block's first entry, or an in-block ascent that is no edge
+    return sigma[j] < sigma[start] or (
+        sigma[j - 1] < sigma[j] and not h.has_edge(sigma[j - 1], sigma[j])
+    )
+
+
 def n_tilde(h: UGraph, lam) -> list:
     """Block permutations whose blocks start at their minimum and whose
     in-block ascents are edges of h.
@@ -389,34 +466,7 @@ def n_tilde(h: UGraph, lam) -> list:
     Note: the consecutive-ascent condition must read "is an edge"; the
     non-edge reading contradicts the divided form already at two vertices.
     """
-    from itertools import permutations
-
-    lam = tuple(lam)
-    n = sum(lam)
-    if n != h.n:
-        raise ValueError("partition size must equal vertex count")
-    bounds = []
-    start = 0
-    for length in lam:
-        bounds.append((start, start + length))
-        start += length
-    out = []
-    for sigma in permutations(range(1, n + 1)):
-        ok = True
-        for lo, hi in bounds:
-            block = sigma[lo:hi]
-            if block[0] != min(block):
-                ok = False
-                break
-            for i in range(len(block) - 1):
-                if block[i] < block[i + 1] and not h.has_edge(block[i], block[i + 1]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(BlockPermutation(lam, sigma))
-    return out
+    return _block_permutations(h, lam, _tilde_rejects)
 
 
 def t_analogue(k: int) -> LaurentQT:
@@ -424,14 +474,28 @@ def t_analogue(k: int) -> LaurentQT:
     return LaurentQT({(0, i): Fraction(1) for i in range(k)})
 
 
+@lru_cache(maxsize=256)
+def _lambda_factors(lam) -> tuple[LaurentQT, LaurentQT, LaurentQT]:
+    """(t-1)^(n - len(lam)), prod [part]_t and prod (t^part - 1) for a
+    partition lam of n, built once per lam; the values are immutable, so
+    every sandwich graph shares them.  The cache holds the last 256
+    partitions, every partition of n <= 10."""
+    t_minus_1 = LaurentQT.parse("-1 + t")
+    analogue = LaurentQT.one()
+    den = LaurentQT.one()
+    for part in lam:
+        analogue = analogue * t_analogue(part)
+        den = den * (LaurentQT.term(1, 0, part) - LaurentQT.one())
+    return t_minus_1 ** (sum(lam) - len(lam)), analogue, den
+
+
 def llt_power_tilde(h: UGraph) -> SymFunc:
     """omega LLT in the power basis from the tilde permutation sets."""
     n = h.n
-    t_minus_1 = LaurentQT.parse("-1 + t")
     coeffs = {}
     for lam in partitions_of(n):
         total = _inversion_sum(h, n_tilde(h, lam))
-        value = (t_minus_1 ** (n - len(lam))) * total
+        value = _lambda_factors(lam)[0] * total
         coeffs[lam] = value.scale(Fraction(1, z_of(lam)))
     return SymFunc(n, "power", coeffs, LaurentQT)
 
@@ -460,24 +524,19 @@ def _plethysm_holds(h: UGraph, llt: SymFunc, x: SymFunc) -> bool:
     direct = omega(llt_power)
     tilde = llt_power_tilde(h)
     x_power = convert(x, "power")
-    t_minus_1 = LaurentQT.parse("-1 + t")
+    t_minus_1_to_n = _lambda_factors((1,) * n)[2]  # prod (t^1 - 1) over n parts
 
     for lam in partitions_of(n):
         want = direct.get(lam)
         total = _inversion_sum(h, n_lambda(h, lam))
-        analogue = LaurentQT.one()
-        for part in lam:
-            analogue = analogue * t_analogue(part)
+        t_minus_1_power, analogue, den = _lambda_factors(lam)
         # check 2 as num/z_lambda = want * prod [part]_t
-        num = (t_minus_1 ** (n - len(lam))) * total
+        num = t_minus_1_power * total
         if tilde.get(lam) != want or num.scale(Fraction(1, z_of(lam))) != want * analogue:
             return False
         # plethystic identity LLT = (t-1)^n X[x/(t-1)], as
         # LLT_lambda * prod (t^part - 1) = X_lambda * (t-1)^n
-        den = LaurentQT.one()
-        for part in lam:
-            den = den * (LaurentQT.term(1, 0, part) - LaurentQT.one())
-        if llt_power.get(lam) * den != x_power.get(lam) * t_minus_1**n:
+        if llt_power.get(lam) * den != x_power.get(lam) * t_minus_1_to_n:
             return False
         # divisibility of the N_lambda sum by the t-analogue product
         try:

@@ -7,12 +7,19 @@ form tableau Schur formula, and an edge-subset power sum formula.  Every
 weight is a product of hooks ``a*(leg+1) + arm`` attached to the upper cell
 of a down-edge.  As with the q,t case, the output index is the conjugate of
 the input diagram.
+
+The chromatic-sum route does its sum over sandwich graphs through one
+factor per down-edge: one coloring census of the attacking graph
+(``coloring_census``) counts colorings per content and per pattern of
+monochromatic down-edges, and each pattern is weighted once.
 """
 
 from __future__ import annotations
 
-from .chromatic import x_g
-from .graphs import UGraph, attacking_data, component_partition
+# x_g is not called here; the name stays importable from jack because
+# perfbench's tracer self-tests check that every reference to it is wrapped
+from .chromatic import coloring_census, x_g  # noqa: F401
+from .graphs import IdentityViolation, UGraph, attacking_data, component_partition
 from .macdonald import IFTableau, ift_enumerate, non_attacking_fillings
 from .rings import AlphaPoly
 from .shapes import check_partition, partitions_of
@@ -62,35 +69,49 @@ def jack_knop_sahi(mu) -> SymFunc:
     return SymFunc(n, "monomial", coeffs, AlphaPoly)
 
 
-def _alpha_constant(laurent) -> AlphaPoly:
-    return AlphaPoly({(0,): laurent.constant_value()})
-
-
 def jack_chromatic(mu) -> SymFunc:
-    """Chromatic-sum formula: hook-weighted chromatic symmetric functions."""
+    """Chromatic-sum formula: hook-weighted chromatic symmetric functions.
+
+    The formula sums w(H) X_H(x; 1) over the sandwich graphs G <= H <= G+,
+    where G is the attacking graph, added edge i is the down-edge of a cell
+    with hook h_i, and w(H) = prod over added edges of in_i = -h_i (edge in
+    H) or out_i = 1 + h_i (not).  A G-proper coloring is H-proper iff no
+    added edge of H is monochromatic under it, so summing over H first
+    gives each G-proper coloring the weight prod_i f_i, with f_i = out_i
+    when added edge i is monochromatic and f_i = out_i + in_i otherwise.
+    One coloring census of G counts the colorings per content and per
+    monochromatic-edge mask, so each mask is weighted once.  Only dominant
+    contents are read; each must match its reversed content, as the
+    symmetry of X_H requires, or ``IdentityViolation`` is raised.
+    """
     mu = check_partition(mu)
     n = sum(mu)
     if n == 0:
         return SymFunc(0, "monomial", {(): AlphaPoly.one()}, AlphaPoly)
     data = attacking_data(mu)
-    k = len(data.down_edges)
     hooks = [hook_alpha(arm_u, leg_u) for (_, arm_u, leg_u) in data.down_edges]
-    total = SymFunc(n, "monomial", {}, AlphaPoly)
-    for mask in range(1 << k):
-        extra = [data.down_edges[i][0] for i in range(k) if mask >> i & 1]
-        h = data.g.with_edges(extra)
-        weight = AlphaPoly.one()
-        for i in range(k):
-            weight = weight * (-hooks[i] if mask >> i & 1 else AlphaPoly.one() + hooks[i])
-        counts = x_g(h, with_t=False)
-        contrib = SymFunc(
-            n,
-            "monomial",
-            {lam: _alpha_constant(c) * weight for lam, c in counts.coeffs.items()},
-            AlphaPoly,
-        )
-        total = total + contrib
-    return total
+    in_factor = [-hook for hook in hooks]
+    out_factor = [AlphaPoly.one() + hook for hook in hooks]
+    either = [out + inn for out, inn in zip(out_factor, in_factor)]
+    census = coloring_census(data.g, [edge for edge, _, _ in data.down_edges])
+    weight_of: dict[int, AlphaPoly] = {}
+    coeffs = {}
+    for lam in partitions_of(n):
+        vec = lam + (0,) * (n - len(lam))
+        folded = census.equal_mask_counts(vec)
+        if folded != census.equal_mask_counts(vec[::-1]):
+            raise IdentityViolation(f"chromatic sum of {mu} not symmetric (content {vec})")
+        total = AlphaPoly.zero()
+        for mask, count in folded.items():
+            weight = weight_of.get(mask)
+            if weight is None:
+                weight = AlphaPoly.one()
+                for i in range(census.k):
+                    weight = weight * (out_factor[i] if mask >> i & 1 else either[i])
+                weight_of[mask] = weight
+            total = total + weight.scale(count)
+        coeffs[lam] = total
+    return SymFunc(n, "monomial", coeffs, AlphaPoly)
 
 
 def wt_alpha(tableau: IFTableau) -> AlphaPoly:

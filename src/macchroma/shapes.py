@@ -61,7 +61,7 @@ def n_stat(lam) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n in descending lexicographic order."""
     if n < 0:
@@ -83,9 +83,11 @@ class Diagram:
 
     Cells are (row, col) pairs, both 1-based, rows counted from the bottom.
     Labels 1..n follow reading order (top row first, left to right).
-    Instances are immutable and cached per partition.
+    Instances are immutable and cached per partition; the cache keeps the
+    ``_CACHE_SIZE`` most recently built and drops the oldest beyond that.
     """
 
+    _CACHE_SIZE = 256
     _cache: dict[tuple[int, ...], "Diagram"] = {}
 
     def __new__(cls, mu):
@@ -95,6 +97,8 @@ class Diagram:
             return hit
         self = super().__new__(cls)
         self._build(mu)
+        while len(cls._cache) >= cls._CACHE_SIZE:
+            del cls._cache[next(iter(cls._cache))]
         cls._cache[mu] = self
         return self
 

@@ -300,8 +300,9 @@ class TransitionTable:
         return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def transition_table(n: int) -> TransitionTable:
+    """The transition data of degree n; the cache holds the last 16 degrees."""
     return TransitionTable(n)
 
 

@@ -141,6 +141,22 @@ def test_criterion_2_displayed_alpha_tableau_weight():
                    True, f"definition gives {got}, displayed {displayed}")
 
 
+def test_macdonald_to_jack_limit():
+    """The identity that ties the two families: each Schur coefficient of
+    J_mu(x; q, t) at q = t^k, divided exactly by (1-t)^n, equals at t = 1
+    the Schur coefficient of the Jack polynomial at a = k."""
+    checked = 0
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            qt, alpha = j_schur(mu), jack_schur(mu)
+            for lam in set(qt.coeffs) | set(alpha.coeffs):
+                for k in (1, 2, 3):
+                    assert _alpha_limit(qt.get(lam), k, n) == alpha.get(lam).substitute(k), \
+                        (mu, lam, k)
+                    checked += 1
+    assert checked == 159
+
+
 def test_criterion_3_weight_polynomiality():
     start = time.perf_counter()
     for n in range(1, 7):

@@ -84,19 +84,32 @@ def test_n_lambda_singleton_blocks_admit_everything():
         assert len(n_lambda(g, (1,) * n)) == len(list(permutations(range(n))))
 
 
+def _block_bounds(lam):
+    bounds = []
+    start = 0
+    for part in lam:
+        bounds.append((start, start + part))
+        start += part
+    return bounds
+
+
+def _sandwich_calls(max_n):
+    """Every (sandwich graph of mu, lambda) pair for mu, lambda of n <= max_n."""
+    for n in range(1, max_n + 1):
+        for mu in partitions_of(n):
+            for h in sandwich_graphs(attacking_data(mu)):
+                for lam in partitions_of(n):
+                    yield h, lam
+
+
 def test_n_lambda_brute_filter_oracle():
-    # independent filter written from the two conditions directly
+    # independent filter written from the two conditions directly, over all
+    # n! permutations in lexicographic order
     def oracle(h, lam):
-        n = sum(lam)
-        bounds = []
-        start = 0
-        for part in lam:
-            bounds.append((start, start + part))
-            start += part
         out = []
-        for sigma in permutations(range(1, n + 1)):
+        for sigma in permutations(range(1, h.n + 1)):
             ok = True
-            for lo, hi in bounds:
+            for lo, hi in _block_bounds(lam):
                 block = sigma[lo:hi]
                 for i in range(len(block) - 1):
                     if block[i] > block[i + 1] and not h.has_edge(block[i + 1], block[i]):
@@ -109,11 +122,28 @@ def test_n_lambda_brute_filter_oracle():
                 out.append(sigma)
         return out
 
-    for mu in partitions_of(4):
-        data = attacking_data(mu)
-        for h in sandwich_graphs(data):
-            for lam in partitions_of(4):
-                assert [bp.sigma for bp in n_lambda(h, lam)] == oracle(h, lam)
+    for h, lam in _sandwich_calls(5):
+        assert [bp.sigma for bp in n_lambda(h, lam)] == oracle(h, lam), (h, lam)
+
+
+def test_n_tilde_brute_filter_oracle():
+    # the docstring's two conditions over all n! permutations in
+    # lexicographic order: each block starts at its minimum, and each
+    # in-block ascent is an edge
+    def oracle(h, lam):
+        out = []
+        for sigma in permutations(range(1, h.n + 1)):
+            blocks = [sigma[lo:hi] for lo, hi in _block_bounds(lam)]
+            if all(block[0] == min(block) for block in blocks) and all(
+                h.has_edge(block[i], block[i + 1])
+                for block in blocks for i in range(len(block) - 1)
+                if block[i] < block[i + 1]
+            ):
+                out.append(sigma)
+        return out
+
+    for h, lam in _sandwich_calls(5):
+        assert [bp.sigma for bp in n_tilde(h, lam)] == oracle(h, lam), (h, lam)
 
 
 def test_perm_inv():

@@ -1,3 +1,7 @@
+import pytest
+
+from macchroma.chromatic import IdentityViolation, coloring_census, x_g
+from macchroma.graphs import attacking_data
 from macchroma.jack import (
     hook_alpha,
     jack_chromatic,
@@ -9,7 +13,7 @@ from macchroma.jack import (
 from macchroma.macdonald import IFTableau, ift_enumerate
 from macchroma.rings import AlphaPoly
 from macchroma.shapes import conjugate, partitions_of
-from macchroma.symfunc import convert
+from macchroma.symfunc import SymFunc, convert
 
 A = AlphaPoly.parse
 
@@ -65,6 +69,49 @@ def test_wt_alpha_reference_tableau():
 def test_known_power_coefficient():
     p = jack_power((2, 1, 1))
     assert str(p.get((2, 2))) == "-a"
+
+
+def _jack_chromatic_by_sandwich_graphs(mu):
+    """The chromatic-sum formula term by term: for each sandwich graph H,
+    w(H) = prod over down-edges of -hook (in H) or 1 + hook (not), times
+    X_H at t = 1, enumerated afresh for every H."""
+    n = sum(mu)
+    data = attacking_data(mu)
+    k = len(data.down_edges)
+    hooks = [hook_alpha(arm_u, leg_u) for (_, arm_u, leg_u) in data.down_edges]
+    total = SymFunc(n, "monomial", {}, AlphaPoly)
+    for mask in range(1 << k):
+        h = data.g.with_edges(data.down_edges[i][0] for i in range(k) if mask >> i & 1)
+        weight = AlphaPoly.one()
+        for i in range(k):
+            weight = weight * (-hooks[i] if mask >> i & 1 else AlphaPoly.one() + hooks[i])
+        counts = x_g(h, with_t=False)
+        total = total + SymFunc(n, "monomial", {
+            lam: weight.scale(c.constant_value()) for lam, c in counts.coeffs.items()
+        }, AlphaPoly)
+    return total
+
+
+def test_jack_chromatic_matches_sum_over_sandwich_graphs():
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            assert jack_chromatic(mu) == _jack_chromatic_by_sandwich_graphs(mu), mu
+
+
+def test_jack_chromatic_checks_reversed_contents(monkeypatch):
+    import macchroma.jack as jack
+
+    def lopsided(g, added):
+        # one coloring fewer on content (0, 1, 2), the reverse of (2, 1)
+        census = coloring_census(g, added)
+        counts = {vec: dict(keys) for vec, keys in census.counts.items()}
+        key = next(iter(counts[(0, 1, 2)]))
+        counts[(0, 1, 2)][key] -= 1
+        return census._replace(counts=counts)
+
+    monkeypatch.setattr(jack, "coloring_census", lopsided)
+    with pytest.raises(IdentityViolation):
+        jack_chromatic((2, 1))
 
 
 def test_power_sign_conventions_agree():

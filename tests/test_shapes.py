@@ -106,3 +106,23 @@ def test_down_label_increases():
             d = Diagram(mu)
             for u, v in d.down_by_label.items():
                 assert v > u
+
+
+def test_caches_stay_within_their_bounds(monkeypatch):
+    from macchroma import chromatic, graphs, symfunc
+
+    # a bound small enough for the sweep to overflow, so eviction runs
+    monkeypatch.setattr(Diagram, "_CACHE_SIZE", 8)
+    monkeypatch.setattr(Diagram, "_cache", {})
+    for n in range(10):
+        for mu in partitions_of(n):
+            Diagram(mu)
+            graphs.attacking_data(mu)
+            chromatic._lambda_factors(mu)
+            assert len(Diagram._cache) <= Diagram._CACHE_SIZE
+    for n in range(1, 7):  # building transition_table(9) alone takes ~20 s
+        symfunc.transition_table(n)
+    for cache in (partitions_of, graphs.attacking_data, chromatic._lambda_factors,
+                  symfunc.transition_table):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, cache
