@@ -46,7 +46,6 @@ from .symfunc import (
     SymFunc,
     convert,
     kostka,
-    multiply_monomial,
     omega,
     schur_positive,
     z_of,

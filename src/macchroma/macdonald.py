@@ -32,7 +32,7 @@ from .chromatic import (
     tableau_inv,
     x_g,
 )
-from .graphs import attacking_data
+from .graphs import attacking_data, sandwich_graphs
 from .rings import LaurentQT
 from .shapes import Diagram, check_partition, conjugate, n_stat, partitions_of
 from .symfunc import SymFunc, omega, z_of
@@ -182,9 +182,7 @@ def j_chromatic(mu) -> SymFunc:
     out_factor = [_one_minus_qt(leg + 1, arm + 1) for (_, arm, leg) in data.down_edges]
     k = len(data.down_edges)
     total = SymFunc(n, "monomial", {}, LaurentQT)
-    for mask in range(1 << k):
-        extra = [data.down_edges[i][0] for i in range(k) if mask >> i & 1]
-        h = data.g.with_edges(extra)
+    for mask, h in enumerate(sandwich_graphs(data)):
         weight = LaurentQT.one()
         for i in range(k):
             weight = weight * (in_factor[i] if mask >> i & 1 else out_factor[i])

@@ -9,8 +9,11 @@ are exact and cached per degree in a ``TransitionTable``:
 * monomial -> Schur by unitriangular back-substitution in descending
   lexicographic order (a linear extension of dominance); a nonzero residue
   raises ``IdentityViolation``,
-* power -> monomial by expanding each p_k as m_(k) and multiplying out,
-* monomial -> power by applying the exact rational inverse of that matrix.
+* power -> monomial through the integer matrix R, where R[lam][mu] counts
+  the ways to merge the parts of lam into the parts of mu (Stanley,
+  *Enumerative Combinatorics* Vol. 2, Prop. 7.7.1; Macdonald, *Symmetric
+  Functions and Hall Polynomials*, Ch. I Section 6),
+* monomial -> power through the exact rational inverse of R (Gauss-Jordan).
 """
 
 from __future__ import annotations
@@ -166,83 +169,6 @@ def z_of(lam) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Monomial-basis multiplication (used to build power sum expansions)
-# ---------------------------------------------------------------------------
-
-def _distinct_permutations(counts_items):
-    """Yield all distinct arrangements of a multiset given as (value, count)."""
-    counts = dict(counts_items)
-    total = sum(counts.values())
-    arrangement = [0] * total
-
-    def rec(pos):
-        if pos == total:
-            yield tuple(arrangement)
-            return
-        for val in sorted(counts, reverse=True):
-            if counts[val] == 0:
-                continue
-            counts[val] -= 1
-            arrangement[pos] = val
-            yield from rec(pos + 1)
-            counts[val] += 1
-
-    yield from rec(0)
-
-
-def _monomial_vectors(lam, nvars):
-    """Exponent vectors on nvars variables whose sorted type is lam."""
-    lam = tuple(lam)
-    if len(lam) > nvars:
-        return
-    counts: dict[int, int] = {0: nvars - len(lam)}
-    for part in lam:
-        counts[part] = counts.get(part, 0) + 1
-    yield from _distinct_permutations(counts.items())
-
-
-def _expand_to_vectors(f: SymFunc, nvars: int) -> dict:
-    vecs = {}
-    for lam, c in f.coeffs.items():
-        for vec in _monomial_vectors(lam, nvars):
-            vecs[vec] = c
-    return vecs
-
-
-def multiply_monomial(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Product of two monomial-basis SymFuncs, re-collected by type.
-
-    Both are expanded into exponent vectors on deg(f)+deg(g) variables,
-    convolved, and read back off the weakly decreasing representatives.
-    """
-    if f.basis != "monomial" or g.basis != "monomial":
-        raise ValueError("multiply_monomial requires monomial-basis inputs")
-    if f.ring is not g.ring:
-        raise ValueError("ring mismatch")
-    nvars = f.degree + g.degree
-    if nvars == 0:
-        c = f.get(()) * g.get(())
-        return SymFunc(0, "monomial", {(): c}, f.ring)
-    fv = _expand_to_vectors(f, nvars)
-    gv = _expand_to_vectors(g, nvars)
-    acc: dict[tuple[int, ...], object] = {}
-    for va, ca in fv.items():
-        for vb, cb in gv.items():
-            key = tuple(x + y for x, y in zip(va, vb))
-            prod = ca * cb
-            if key in acc:
-                acc[key] = acc[key] + prod
-            else:
-                acc[key] = prod
-    out = {}
-    for lam in partitions_of(f.degree + g.degree):
-        rep = lam + (0,) * (nvars - len(lam))
-        if rep in acc:
-            out[lam] = acc[rep]
-    return SymFunc(f.degree + g.degree, "monomial", out, f.ring)
-
-
-# ---------------------------------------------------------------------------
 # Transition tables
 # ---------------------------------------------------------------------------
 
@@ -265,8 +191,36 @@ def _invert_rational_matrix(mat):
     return [row[size:] for row in work]
 
 
+def _merge_counts(partitions):
+    """The p -> m matrix R of one degree, R[lam][mu] = [m_mu] p_lam.
+
+    R[lam][mu] counts the ways to send each part of lam into a part of mu so
+    that every part of mu is the sum of the parts it receives.  The count does
+    not depend on the order of mu's parts, so the room left in them is kept
+    sorted and the memo is shared by every pair.
+    """
+    memo = {}
+
+    def count(parts, room):
+        if not parts:
+            return int(not any(room))
+        key = (parts, room)
+        if key not in memo:
+            part, rest = parts[0], parts[1:]
+            memo[key] = sum(
+                count(rest, tuple(sorted(room[:j] + (cap - part,) + room[j + 1:], reverse=True)))
+                for j, cap in enumerate(room) if cap >= part
+            )
+        return memo[key]
+
+    return [[count(lam, mu) for mu in partitions] for lam in partitions]
+
+
 class TransitionTable:
-    """Per-degree basis transition data, computed once and then read-only."""
+    """Per-degree basis transition data, computed once and then read-only.
+
+    Every matrix is indexed [source][target] in the order of ``partitions``.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -275,29 +229,8 @@ class TransitionTable:
         self.kostka = [
             [kostka(lam, mu) for mu in self.partitions] for lam in self.partitions
         ]
-        self.power_to_monomial = self._power_matrix()
-        # monomial -> power applies the inverse of the transpose:
-        # c_m[mu] = sum_lam c_p[lam] * P[lam][mu].
-        transpose = [
-            [Fraction(self.power_to_monomial[i][j]) for i in range(len(self.partitions))]
-            for j in range(len(self.partitions))
-        ]
-        self.monomial_to_power = _invert_rational_matrix(transpose)
-
-    def _power_matrix(self):
-        ring = LaurentQT
-        one = ring.one()
-        rows = []
-        for lam in self.partitions:
-            prod = SymFunc(0, "monomial", {(): one}, ring)
-            for part in lam:
-                step = SymFunc(part, "monomial", {(part,): one}, ring)
-                prod = multiply_monomial(prod, step)
-            rows.append([
-                int(prod.get(mu).constant_value()) if not prod.get(mu).is_zero() else 0
-                for mu in self.partitions
-            ])
-        return rows
+        self.power_to_monomial = _merge_counts(self.partitions)
+        self.monomial_to_power = _invert_rational_matrix(self.power_to_monomial)
 
 
 @lru_cache(maxsize=16)
@@ -310,17 +243,16 @@ def transition_table(n: int) -> TransitionTable:
 # Basis conversion, omega, positivity
 # ---------------------------------------------------------------------------
 
-def _schur_to_monomial(f: SymFunc) -> SymFunc:
+def _apply(f: SymFunc, matrix, basis: str) -> SymFunc:
+    """Multiply f's coefficients by a transition matrix indexed [source][target]."""
     table = transition_table(f.degree)
     out: dict[tuple[int, ...], object] = {}
     for lam, c in f.coeffs.items():
-        i = table.index[lam]
-        for j, mu in enumerate(table.partitions):
-            k = table.kostka[i][j]
+        for mu, k in zip(table.partitions, matrix[table.index[lam]]):
             if k:
-                term = c.scale(Fraction(k))
+                term = c.scale(k)
                 out[mu] = out[mu] + term if mu in out else term
-    return SymFunc(f.degree, "monomial", out, f.ring)
+    return SymFunc(f.degree, basis, out, f.ring)
 
 
 def _monomial_to_schur(f: SymFunc) -> SymFunc:
@@ -342,52 +274,22 @@ def _monomial_to_schur(f: SymFunc) -> SymFunc:
     return SymFunc(f.degree, "schur", out, f.ring)
 
 
-def _power_to_monomial(f: SymFunc) -> SymFunc:
-    table = transition_table(f.degree)
-    out: dict[tuple[int, ...], object] = {}
-    for lam, c in f.coeffs.items():
-        i = table.index[lam]
-        for j, mu in enumerate(table.partitions):
-            k = table.power_to_monomial[i][j]
-            if k:
-                term = c.scale(Fraction(k))
-                out[mu] = out[mu] + term if mu in out else term
-    return SymFunc(f.degree, "monomial", out, f.ring)
-
-
-def _monomial_to_power(f: SymFunc) -> SymFunc:
-    table = transition_table(f.degree)
-    out = {}
-    for i, lam in enumerate(table.partitions):
-        acc = None
-        for j, mu in enumerate(table.partitions):
-            c = f.coeffs.get(mu)
-            if c is None:
-                continue
-            scalar = table.monomial_to_power[i][j]
-            if scalar:
-                term = c.scale(scalar)
-                acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            out[lam] = acc
-    return SymFunc(f.degree, "power", out, f.ring)
-
-
 def convert(f: SymFunc, target: str) -> SymFunc:
     """Exact basis change; round-trips are identities."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
     if f.basis == target:
         return f
+    table = transition_table(f.degree)
     if f.basis == "schur":
-        f = _schur_to_monomial(f)
+        f = _apply(f, table.kostka, "monomial")
     elif f.basis == "power":
-        f = _power_to_monomial(f)
+        f = _apply(f, table.power_to_monomial, "monomial")
     if target == "monomial":
         return f
     if target == "schur":
         return _monomial_to_schur(f)
-    return _monomial_to_power(f)
+    return _apply(f, table.monomial_to_power, "power")
 
 
 def omega(f: SymFunc) -> SymFunc:

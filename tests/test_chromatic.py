@@ -425,3 +425,21 @@ def test_package_source_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_caches_have_a_finite_bound():
+    # an lru_cache without a written integer maxsize, or a functools.cache,
+    # can grow for the life of the process
+    package = Path(__file__).resolve().parents[1] / "src" / "macchroma"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            for deco in getattr(node, "decorator_list", ()):
+                call = deco if isinstance(deco, ast.Call) else None
+                if ast.unparse(call.func if call else deco).rsplit(".", 1)[-1] not in ("lru_cache", "cache"):
+                    continue
+                sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"] if call else []
+                if not (len(sizes) == 1 and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int):
+                    found.append(f"{path.name}:{deco.lineno}")
+    assert found == []

@@ -120,7 +120,7 @@ def test_caches_stay_within_their_bounds(monkeypatch):
             graphs.attacking_data(mu)
             chromatic._lambda_factors(mu)
             assert len(Diagram._cache) <= Diagram._CACHE_SIZE
-    for n in range(1, 7):  # building transition_table(9) alone takes ~20 s
+    for n in range(1, 10):
         symfunc.transition_table(n)
     for cache in (partitions_of, graphs.attacking_data, chromatic._lambda_factors,
                   symfunc.transition_table):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -11,7 +11,6 @@ from macchroma.symfunc import (
     SymFunc,
     convert,
     kostka,
-    multiply_monomial,
     omega,
     schur_positive,
     transition_table,
@@ -100,52 +99,24 @@ def test_conversion_round_trips():
                     assert convert(convert(f, target), basis) == f
 
 
-def test_multiply_monomial_basic():
-    e1 = SymFunc(1, "monomial", {(1,): LaurentQT.one()}, LaurentQT)
-    prod = multiply_monomial(e1, e1)
-    assert prod.coeffs == {(2,): LaurentQT.one(), (1, 1): LaurentQT.from_int(2)}
-    one = SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
-    f = random_symfunc(random.Random(5), 3)
-    assert multiply_monomial(f, one) == f
+def _monomial_at(mu, point):
+    """m_mu at a point: a sum over the distinct rearrangements of mu's parts."""
+    exponents = tuple(mu) + (0,) * (len(point) - len(mu))
+    return sum((prod(x**e for x, e in zip(point, vec)) for vec in set(permutations(exponents))),
+               Fraction(0))
 
 
-def _evaluate(f: SymFunc, point):
-    """Evaluation oracle: expand each monomial symmetric function at a point."""
-    from macchroma.symfunc import _monomial_vectors
-
-    total = Fraction(0)
-    for lam, c in f.coeffs.items():
-        s = Fraction(0)
-        for vec in _monomial_vectors(lam, len(point)):
-            term = Fraction(1)
-            for x, e in zip(point, vec):
-                term *= x**e
-            s += term
-        total += c.constant_value() * s
-    return total
-
-
-def test_multiply_monomial_against_evaluation_oracle():
-    rng = random.Random(777)
-    for _ in range(30):
-        na, nb = rng.randint(1, 3), rng.randint(1, 2)
-        f = SymFunc(na, "monomial",
-                    {lam: LaurentQT.from_int(rng.randint(-4, 4)) for lam in partitions_of(na)},
-                    LaurentQT)
-        g = SymFunc(nb, "monomial",
-                    {lam: LaurentQT.from_int(rng.randint(-4, 4)) for lam in partitions_of(nb)},
-                    LaurentQT)
-        prod = multiply_monomial(f, g)
-        point = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(na + nb))
-        assert _evaluate(prod, point) == _evaluate(f, point) * _evaluate(g, point)
-
-
-def test_multiply_monomial_commutes():
-    rng = random.Random(11)
-    for _ in range(10):
-        f = random_symfunc(rng, 2)
-        g = random_symfunc(rng, 3)
-        assert multiply_monomial(f, g) == multiply_monomial(g, f)
+def test_power_to_monomial_against_evaluation_oracle():
+    # p_lam(x) = prod_i p_{lam_i}(x) = sum_mu R[lam][mu] m_mu(x) in n variables
+    rng = random.Random(4096)
+    for n in range(1, 7):
+        table = transition_table(n)
+        for _ in range(2):
+            point = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4)) for _ in range(n)]
+            m_at = [_monomial_at(mu, point) for mu in table.partitions]
+            for lam, row in zip(table.partitions, table.power_to_monomial):
+                p_at = prod(sum(x**part for x in point) for part in lam)
+                assert p_at == sum(r * m for r, m in zip(row, m_at)), lam
 
 
 def test_omega():
@@ -181,13 +152,21 @@ def test_schur_positive():
 
 
 def test_unitriangularity_of_kostka_table():
-    for n in range(1, 7):
+    for n in range(1, 10):
         table = transition_table(n)
+        size = len(table.partitions)
         for i, lam in enumerate(table.partitions):
             assert table.kostka[i][i] == 1
+            # p_lam contains m_lam once per rearrangement of lam's equal parts
+            assert table.power_to_monomial[i][i] == prod(factorial(lam.count(p)) for p in set(lam))
             for j in range(i):
                 # earlier in descending lex means not dominated; entry must vanish
                 assert table.kostka[i][j] == 0
+                # p_lam only reaches m_mu for mu coarser than lam, so earlier in the order
+                assert table.power_to_monomial[j][i] == 0
+        product = [[sum(table.monomial_to_power[i][k] * table.power_to_monomial[k][j] for k in range(size))
+                    for j in range(size)] for i in range(size)]
+        assert product == [[int(i == j) for j in range(size)] for i in range(size)]
 
 
 def test_alpha_ring_conversions():
