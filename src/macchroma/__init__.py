@@ -16,9 +16,9 @@ from .graphs import (
     AttackingData,
     UGraph,
     attacking_data,
+    colorings,
     component_partition,
     is_claw_free,
-    proper_colorings,
     sandwich_graphs,
 )
 from .jack import jack_chromatic, jack_knop_sahi, jack_power, jack_schur, wt_alpha

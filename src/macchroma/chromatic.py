@@ -18,8 +18,9 @@ before one Laurent polynomial is built, and the t-factors of each lambda
 ((t-1)^j, the t-analogue and (t^k - 1) products) are built once per lambda.
 
 The monomial routes share one enumeration, ``coloring_census``: the
-colorings of a graph G, counted per exponent vector by their ascents on G
-and by which of k added edges they leave monochromatic or ascending.  Every
+colorings of a graph G (``graphs.colorings`` with palette n, proper or all
+of them), counted per exponent vector by their ascents on G and by which of
+k added edges they leave monochromatic or ascending.  Every
 sandwich graph H = G + (a subset of the added edges) is then read off that
 census by ``from_census``: a coloring is H-proper iff no added edge of H is
 monochromatic, and its H-ascents are its G-ascents plus the ascending added
@@ -40,7 +41,7 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .graphs import IdentityViolation, UGraph, all_colorings, is_claw_free, proper_colorings
+from .graphs import IdentityViolation, UGraph, colorings, is_claw_free
 from .rings import LaurentQT
 from .shapes import partitions_of
 from .symfunc import SymFunc, convert, omega, z_of
@@ -123,8 +124,7 @@ def coloring_census(g: UGraph, added=(), proper: bool = True) -> ColoringCensus:
     weight = [0] + [1 << (low + width * i) for i in range(n)]
     shift = 2 * k
     packed: dict[int, int] = {}
-    source = proper_colorings(g, n) if proper else all_colorings(g, n)
-    for coloring, asc in source:
+    for coloring, asc in colorings(g, n, proper):
         key = asc << shift
         for c in coloring:
             key += weight[c]

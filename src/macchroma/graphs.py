@@ -4,6 +4,10 @@ The attacking graph of a shape joins reading-order labels of attacking cells;
 the augmented attacking graph adds one edge per non-bottom-row cell, joining
 it to the cell immediately below.  Everything downstream (chromatic sums,
 sandwich enumeration, edge-subset expansions) works from this data.
+
+``colorings`` is the one coloring enumerator: the non-attacking fillings
+(``macdonald.non_attacking_fillings``) are the proper colorings of the
+attacking graph with n colors, and ``chromatic.coloring_census`` reads it.
 """
 
 from __future__ import annotations
@@ -125,11 +129,12 @@ def component_partition(h: UGraph):
     return tuple(sorted(sizes, reverse=True))
 
 
-def proper_colorings(h: UGraph, palette: int):
-    """Yield (coloring, ascent count) over proper colorings with k colors.
+def colorings(h: UGraph, palette: int, proper: bool = True):
+    """Yield (coloring, ascent count) over the colorings of h with colors
+    1..palette, skipping those with a monochromatic edge when ``proper``.
 
-    Backtracks over vertices 1..n, colors 1..k ascending, so the order is
-    deterministic.  An ascent is an edge {u,v} with u < v and color(u) <
+    Backtracks over vertices 1..n, colors ascending, so the order is
+    lexicographic.  An ascent is an edge {u,v} with u < v and color(u) <
     color(v).
     """
     if palette < 1:
@@ -144,38 +149,14 @@ def proper_colorings(h: UGraph, palette: int):
             return
         for c in range(1, palette + 1):
             rise = 0
-            ok = True
             for u in prev_neighbors[v]:
-                if colors[u] == c:
-                    ok = False
-                    break
                 if colors[u] < c:
                     rise += 1
-            if not ok:
-                continue
-            colors[v] = c
-            yield from assign(v + 1, asc + rise)
-        colors[v] = 0
-
-    yield from assign(1, 0)
-
-
-def all_colorings(h: UGraph, palette: int):
-    """Yield (coloring, ascent count) over all colorings, proper or not."""
-    if palette < 1:
-        raise ValueError("palette must be at least 1")
-    n = h.n
-    prev_neighbors = [[]] + [sorted(w for w in h.neighbors(v) if w < v) for v in range(1, n + 1)]
-    colors = [0] * (n + 1)
-
-    def assign(v, asc):
-        if v > n:
-            yield tuple(colors[1:]), asc
-            return
-        for c in range(1, palette + 1):
-            rise = sum(1 for u in prev_neighbors[v] if colors[u] < c)
-            colors[v] = c
-            yield from assign(v + 1, asc + rise)
+                elif proper and colors[u] == c:
+                    break
+            else:
+                colors[v] = c
+                yield from assign(v + 1, asc + rise)
         colors[v] = 0
 
     yield from assign(1, 0)

@@ -2,8 +2,10 @@
 deformation parameter.
 
 The routes mirror the q,t case: Knop-Sahi non-attacking fillings (the
-reference route), a chromatic-sum formula over sandwich graphs, an integral
-form tableau Schur formula, and an edge-subset power sum formula.  Every
+reference route, read from ``macdonald.non_attacking_fillings``), a
+chromatic-sum formula over sandwich graphs, an integral form tableau Schur
+formula (``wt_alpha`` reads ``wt_mu``'s down-edge places), and an
+edge-subset power sum formula signed by overlap with G.  Every
 weight is a product of hooks ``a*(leg+1) + arm`` attached to the upper cell
 of a down-edge.  As with the q,t case, the output index is the conjugate of
 the input diagram.
@@ -20,7 +22,7 @@ from __future__ import annotations
 # perfbench's tracer self-tests check that every reference to it is wrapped
 from .chromatic import coloring_census, x_g  # noqa: F401
 from .graphs import IdentityViolation, UGraph, attacking_data, component_partition
-from .macdonald import IFTableau, ift_enumerate, non_attacking_fillings
+from .macdonald import IFTableau, _down_edge_places, ift_enumerate, non_attacking_fillings
 from .rings import AlphaPoly
 from .shapes import check_partition, partitions_of
 from .symfunc import SymFunc
@@ -29,11 +31,6 @@ from .symfunc import SymFunc
 def hook_alpha(arm: int, leg: int) -> AlphaPoly:
     """a*(leg+1) + arm."""
     return AlphaPoly({(1,): leg + 1, (0,): arm})
-
-
-def _hooks_by_edge(mu):
-    data = attacking_data(mu)
-    return {edge: hook_alpha(arm_u, leg_u) for edge, arm_u, leg_u in data.down_edges}
 
 
 def jack_knop_sahi(mu) -> SymFunc:
@@ -120,18 +117,11 @@ def wt_alpha(tableau: IFTableau) -> AlphaPoly:
     Per down-edge {u, v}: multiply by 1+hook(u) when u sits immediately left
     of v, by -hook(u) when u sits immediately above v, and by 1 otherwise.
     """
-    data = attacking_data(tableau.mu)
-    pos = {}
-    for r, row in enumerate(tableau.rows, start=1):
-        for c, entry in enumerate(row, start=1):
-            pos[entry] = (r, c)
     weight = AlphaPoly.one()
-    for (u, v), arm_u, leg_u in data.down_edges:
-        ru, cu = pos[u]
-        rv, cv = pos[v]
-        if ru == rv and cv == cu + 1:
+    for place, arm_u, leg_u in _down_edge_places(tableau):
+        if place == "left":
             weight = weight * (AlphaPoly.one() + hook_alpha(arm_u, leg_u))
-        elif ru == rv + 1 and cu == cv:
+        elif place == "top":
             weight = weight * (-hook_alpha(arm_u, leg_u))
     return weight
 
@@ -150,19 +140,21 @@ def jack_schur(mu) -> SymFunc:
     return SymFunc(n, "schur", coeffs, AlphaPoly)
 
 
-def jack_power(mu, sign_on_total_edges: bool = False) -> SymFunc:
-    """Edge-subset formula over all subsets of the augmented attacking graph.
+def jack_power(mu) -> SymFunc:
+    """Edge-subset formula over all subsets S of the augmented attacking graph.
 
-    The default signs each subset by its overlap with the attacking graph and
-    multiplies plain hooks; ``sign_on_total_edges`` switches to the
-    equivalent form signed by the full edge count with negated hooks.
+    Each subset is signed by its overlap with the attacking graph G and
+    multiplies the plain hooks of its added edges, and lands on the power
+    sum of its component sizes.  Signing by the full edge count with negated
+    hooks is the same term for every S, since
+    (-1)^|S| prod_{e in S-G} (-h_e) = (-1)^|S cap G| prod_{e in S-G} h_e.
     """
     mu = check_partition(mu)
     n = sum(mu)
     if n == 0:
         return SymFunc(0, "power", {(): AlphaPoly.one()}, AlphaPoly)
     data = attacking_data(mu)
-    hooks = _hooks_by_edge(mu)
+    hooks = {edge: hook_alpha(arm_u, leg_u) for edge, arm_u, leg_u in data.down_edges}
     g_edges = data.g.edge_set()
     edges = data.g_plus.edges
     coeffs: dict[tuple[int, ...], AlphaPoly] = {}
@@ -173,15 +165,9 @@ def jack_power(mu, sign_on_total_edges: bool = False) -> SymFunc:
         for edge in subset:
             if edge in g_edges:
                 overlap += 1
-            elif sign_on_total_edges:
-                weight = weight * (-hooks[edge])
             else:
                 weight = weight * hooks[edge]
-        if sign_on_total_edges:
-            sign = -1 if len(subset) % 2 else 1
-        else:
-            sign = -1 if overlap % 2 else 1
-        if sign < 0:
+        if overlap % 2:
             weight = -weight
         lam = component_partition(UGraph(n, subset))
         prior = coeffs.get(lam)

@@ -3,12 +3,14 @@
 All four return the polynomial indexed by the conjugate of the input diagram
 (the filling formulas naturally produce that indexing):
 
-* ``j_hhl``        -- non-attacking fillings weighted by maj/inv statistics
+* ``j_hhl``        -- non-attacking fillings (the proper n-colorings of the
+                      attacking graph) weighted by maj/inv statistics
                       (the defining route everything else is checked against),
 * ``j_chromatic``  -- weighted sum of chromatic quasisymmetric functions over
                       the sandwich graphs between the attacking graph and its
                       augmentation,
-* ``j_schur``      -- integral form tableaux with q,t edge weights,
+* ``j_schur``      -- integral form tableaux with q,t edge weights, one
+                      factor per down-edge place (``_down_edge_places``),
 * ``j_power``      -- block permutations with case-by-case edge weights.
 
 Intermediate values are Laurent (negative t-exponents appear inside both the
@@ -32,7 +34,7 @@ from .chromatic import (
     tableau_inv,
     x_g,
 )
-from .graphs import attacking_data, sandwich_graphs
+from .graphs import attacking_data, colorings, sandwich_graphs
 from .rings import LaurentQT
 from .shapes import Diagram, check_partition, conjugate, n_stat, partitions_of
 from .symfunc import SymFunc, omega, z_of
@@ -64,63 +66,37 @@ def prefactor(mu) -> LaurentQT:
 
 def non_attacking_fillings(mu):
     """Yield (values, maj, inv_pairs, arm_des, equal_mask) over non-attacking
-    fillings.
+    fillings: the proper colorings of the attacking graph G with palette
+    {1..n}, in ``graphs.colorings`` order.
 
-    ``values[label-1]`` is the entry of the reading-order cell ``label``;
-    palette is {1..n}.  ``equal_mask`` has bit i set when the i-th down-edge's
-    upper cell carries the same value as the cell below it.  maj adds
-    leg(u)+1 for every descent cell (value exceeds the value below);
-    ``inv_pairs`` counts attacking pairs (u earlier in reading order) with
-    value(u) > value(v); ``arm_des`` sums arm(u) over the descent cells.  The
-    filling statistic in the t-exponent is inv_pairs - arm_des: the plain
-    pair count overshoots by exactly the descent arms, which is visible as a
-    stray negative t-power already at the 2x2 square shape.
+    ``values[label-1]`` is the entry of the reading-order cell ``label``.
+    ``equal_mask`` has bit i set when the i-th down-edge's upper cell
+    carries the same value as the cell below it.  maj adds leg(u)+1 for
+    every descent cell (value exceeds the value below); ``inv_pairs`` counts
+    attacking pairs (u earlier in reading order) with value(u) > value(v),
+    i.e. |E(G)| minus the ascents; ``arm_des`` sums arm(u) over the descent
+    cells.  The filling statistic in the t-exponent is inv_pairs - arm_des:
+    the plain pair count overshoots by exactly the descent arms, which is
+    visible as a stray negative t-power already at the 2x2 square shape.
     """
     mu = check_partition(mu)
-    diagram = Diagram(mu)
-    n = diagram.n
+    n = sum(mu)
     if n == 0:
         yield (), 0, 0, 0, 0
         return
-    attack_prev = [[] for _ in range(n + 1)]
-    for u, v in diagram.attacking_pairs():
-        attack_prev[v].append(u)
-    up_of = {v: u for u, v in diagram.down_by_label.items()}
-    down_labels = sorted(diagram.down_by_label)
-    bit_of_upper = {u: i for i, u in enumerate(down_labels)}
-    leg1 = {u: diagram.leg_by_label[u] + 1 for u in down_labels}
-    arm_of = {u: diagram.arm_by_label[u] for u in down_labels}
-    values = [0] * (n + 1)
-
-    def place(label, maj, inv, arm_des, mask):
-        if label > n:
-            yield tuple(values[1:]), maj, inv, arm_des, mask
-            return
-        upper = up_of.get(label)
-        for val in range(1, n + 1):
-            clash = False
-            d_inv = 0
-            for u in attack_prev[label]:
-                if values[u] == val:
-                    clash = True
-                    break
-                if values[u] > val:
-                    d_inv += 1
-            if clash:
-                continue
-            d_maj, d_arm, d_mask = 0, 0, 0
-            if upper is not None:
-                above = values[upper]
-                if above == val:
-                    d_mask = 1 << bit_of_upper[upper]
-                elif above > val:
-                    d_maj = leg1[upper]
-                    d_arm = arm_of[upper]
-            values[label] = val
-            yield from place(label + 1, maj + d_maj, inv + d_inv, arm_des + d_arm, mask | d_mask)
-        values[label] = 0
-
-    yield from place(1, 0, 0, 0, 0)
+    data = attacking_data(mu)
+    pairs = len(data.g.edges)
+    down = [(u - 1, v - 1, leg + 1, arm, 1 << i)
+            for i, ((u, v), arm, leg) in enumerate(data.down_edges)]
+    for values, asc in colorings(data.g, n):
+        maj = arm_des = mask = 0
+        for u, v, leg1, arm, bit in down:
+            if values[u] > values[v]:
+                maj += leg1
+                arm_des += arm
+            elif values[u] == values[v]:
+                mask |= bit
+        yield values, maj, pairs - asc, arm_des, mask
 
 
 def _monomial_from_buckets(buckets, n: int) -> SymFunc:
@@ -211,13 +187,6 @@ class IFTableau:
         self.shape = tuple(shape)
         self.rows = tuple(tuple(r) for r in rows)
 
-    def position_of(self, value: int):
-        for r, row in enumerate(self.rows):
-            for c, entry in enumerate(row):
-                if entry == value:
-                    return (r + 1, c + 1)
-        raise ValueError(f"{value} not in tableau")
-
     def __eq__(self, other):
         return isinstance(other, IFTableau) and (self.mu, self.rows) == (other.mu, other.rows)
 
@@ -238,6 +207,29 @@ def ift_enumerate(mu):
             yield IFTableau(mu, lam, rows)
 
 
+def _down_edge_places(tableau: IFTableau):
+    """Yield (place, arm(u), leg(u)) per down-edge {u, v} of the tableau's
+    type, where place says where u sits relative to v in the tableau:
+    "left" (immediately left of v in its row), "top" (directly on top of v),
+    "higher" (elsewhere in a higher row) or "other"."""
+    pos = {}
+    for r, row in enumerate(tableau.rows, start=1):
+        for c, entry in enumerate(row, start=1):
+            pos[entry] = (r, c)
+    for (u, v), arm_u, leg_u in attacking_data(tableau.mu).down_edges:
+        ru, cu = pos[u]
+        rv, cv = pos[v]
+        if ru == rv and cv == cu + 1:
+            place = "left"
+        elif ru == rv + 1 and cu == cv:
+            place = "top"
+        elif ru > rv:
+            place = "higher"
+        else:
+            place = "other"
+        yield place, arm_u, leg_u
+
+
 def wt_mu(tableau: IFTableau) -> LaurentQT:
     """q,t-weight of an integral form tableau.
 
@@ -247,19 +239,13 @@ def wt_mu(tableau: IFTableau) -> LaurentQT:
     attacking edges whose smaller label sits in a strictly higher row.
     """
     data = attacking_data(tableau.mu)
-    pos = {}
-    for r, row in enumerate(tableau.rows, start=1):
-        for c, entry in enumerate(row, start=1):
-            pos[entry] = (r, c)
     weight = LaurentQT.term(1, 0, tableau_inv(tableau.rows, data.g))
-    for (u, v), arm_u, leg_u in data.down_edges:
-        ru, cu = pos[u]
-        rv, cv = pos[v]
-        if ru == rv and cv == cu + 1:
+    for place, arm_u, leg_u in _down_edge_places(tableau):
+        if place == "left":
             factor = LaurentQT.term(1, 0, -arm_u) * _one_minus_qt(leg_u + 1, arm_u + 1)
-        elif ru == rv + 1 and cu == cv:
+        elif place == "top":
             factor = LaurentQT.term(-1, 0, -arm_u + 1) * _one_minus_qt(leg_u + 1, arm_u)
-        elif ru > rv:
+        elif place == "higher":
             factor = LaurentQT.term(1, 0, -arm_u) * ONE_MINUS_T
         else:
             factor = LaurentQT.term(1, leg_u + 1, 0) * ONE_MINUS_T

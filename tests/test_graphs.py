@@ -1,12 +1,13 @@
+from itertools import product
+
 import pytest
 
 from macchroma.graphs import (
     UGraph,
     attacking_data,
     component_partition,
+    colorings,
     is_claw_free,
-    proper_colorings,
-    all_colorings,
     sandwich_graphs,
 )
 from macchroma.shapes import conjugate, n_stat, partitions_of
@@ -90,17 +91,17 @@ def test_component_partition():
 
 def test_proper_colorings_basic():
     g = UGraph(2, [(1, 2)])
-    assert list(proper_colorings(g, 2)) == [((1, 2), 1), ((2, 1), 0)]
+    assert list(colorings(g, 2)) == [((1, 2), 1), ((2, 1), 0)]
     empty = UGraph(3)
-    cols = list(proper_colorings(empty, 3))
+    cols = list(colorings(empty, 3))
     assert len(cols) == 27 and all(asc == 0 for _, asc in cols)
     with pytest.raises(ValueError):
-        next(proper_colorings(g, 0))
+        next(colorings(g, 0))
 
 
 def test_all_colorings():
     g = UGraph(2, [(1, 2)])
-    assert list(all_colorings(g, 2)) == [
+    assert list(colorings(g, 2, proper=False)) == [
         ((1, 1), 0), ((1, 2), 1), ((2, 1), 0), ((2, 2), 0),
     ]
 
@@ -109,15 +110,15 @@ def test_coloring_counts_match_deletion_contraction():
     d = attacking_data((3, 2))
     for g in (d.g, d.g_plus):
         for k in (3, 5):
-            mine = sum(1 for _ in proper_colorings(g, k))
+            mine = sum(1 for _ in colorings(g, k))
             assert mine == chromatic_polynomial_at(g.edges, g.n, k)
     path = UGraph(4, [(1, 2), (2, 3), (3, 4)])
-    assert sum(1 for _ in proper_colorings(path, 3)) == chromatic_polynomial_at(path.edges, 4, 3)
+    assert sum(1 for _ in colorings(path, 3)) == chromatic_polynomial_at(path.edges, 4, 3)
 
 
 def test_ascent_definition():
     g = UGraph(3, [(1, 3)])
-    by_coloring = dict(proper_colorings(g, 3))
+    by_coloring = dict(colorings(g, 3))
     assert by_coloring[(1, 1, 2)] == 1
     assert by_coloring[(2, 3, 1)] == 0
     assert by_coloring[(1, 2, 3)] == 1
@@ -147,6 +148,28 @@ def test_component_partition_ignores_edge_input_order():
 
 def test_colorings_deterministic_order():
     g = UGraph(3, [(1, 2), (2, 3)])
-    first = list(proper_colorings(g, 3))
-    assert first == list(proper_colorings(g, 3))
+    first = list(colorings(g, 3))
+    assert first == list(colorings(g, 3))
     assert first == sorted(first, key=lambda item: item[0])
+
+
+def _ascents(h, coloring):
+    return sum(1 for u, v in h.edges if coloring[u - 1] < coloring[v - 1])
+
+
+def test_colorings_against_product_oracle():
+    graphs = [
+        UGraph(1),
+        UGraph(3, [(1, 2), (2, 3)]),
+        UGraph(4, [(1, 3), (2, 4), (3, 4)]),
+        UGraph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+        attacking_data((2, 2)).g_plus,
+        attacking_data((3, 1, 1)).g,
+    ]
+    for h in graphs:
+        for k in (1, 2, 3, h.n + 1):
+            everything = [(c, _ascents(h, c)) for c in product(range(1, k + 1), repeat=h.n)]
+            assert list(colorings(h, k, proper=False)) == everything
+            proper = [(c, asc) for c, asc in everything
+                      if all(c[u - 1] != c[v - 1] for u, v in h.edges)]
+            assert list(colorings(h, k)) == proper

@@ -114,12 +114,6 @@ def test_jack_chromatic_checks_reversed_contents(monkeypatch):
         jack_chromatic((2, 1))
 
 
-def test_power_sign_conventions_agree():
-    for n in range(1, 6):
-        for mu in partitions_of(n):
-            assert jack_power(mu) == jack_power(mu, sign_on_total_edges=True)
-
-
 def test_four_way_equality_small():
     for n in range(1, 6):
         for mu in partitions_of(n):

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -145,6 +145,45 @@ def test_filling_statistics_identity():
                 )
                 assert inv + coinv == expected
                 assert 0 <= arm_des <= sum(a for _, a, _ in data.down_edges)
+
+
+def _brute_fillings(mu):
+    """Every full (values, maj, inv, arm_des, equal_mask) tuple, over all n^n
+    maps of the cells to 1..n in lexicographic order, from the definitions:
+    French cells read top row first, left to right; two cells attack when
+    they share a row, or when the earlier one is one row up and strictly to
+    the right."""
+    cells = [(row, col) for row in range(len(mu), 0, -1) for col in range(1, mu[row - 1] + 1)]
+    n = len(cells)
+    label = {cell: i for i, cell in enumerate(cells)}
+    attacking = [
+        (label[a], label[b])
+        for a in cells for b in cells
+        if label[a] < label[b] and (a[0] == b[0] or (a[0] == b[0] + 1 and a[1] > b[1]))
+    ]
+    uppers = [cell for cell in cells if cell[0] > 1]
+    out = []
+    for values in product(range(1, n + 1), repeat=n):
+        if any(values[a] == values[b] for a, b in attacking):
+            continue
+        inv = sum(values[a] > values[b] for a, b in attacking)
+        maj = arm_des = mask = 0
+        for bit, (row, col) in enumerate(uppers):
+            above, below = values[label[(row, col)]], values[label[(row - 1, col)]]
+            if above == below:
+                mask |= 1 << bit
+            elif above > below:
+                maj += sum(1 for r in range(row + 1, len(mu) + 1) if mu[r - 1] >= col) + 1
+                arm_des += mu[row - 1] - col
+        out.append((values, maj, inv, arm_des, mask))
+    return out
+
+
+def test_non_attacking_fillings_against_brute_force():
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            assert list(non_attacking_fillings(mu)) == _brute_fillings(mu)
+    assert list(non_attacking_fillings(())) == [((), 0, 0, 0, 0)]
 
 
 def test_prefactor():
