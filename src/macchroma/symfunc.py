@@ -6,14 +6,16 @@ Supported bases are monomial, Schur, and power sum; transitions between them
 are exact and cached per degree in a ``TransitionTable``:
 
 * Schur -> monomial through the Kostka matrix (semistandard tableau counts),
-* monomial -> Schur by unitriangular back-substitution in descending
-  lexicographic order (a linear extension of dominance); a nonzero residue
-  raises ``IdentityViolation``,
 * power -> monomial through the integer matrix R, where R[lam][mu] counts
   the ways to merge the parts of lam into the parts of mu (Stanley,
   *Enumerative Combinatorics* Vol. 2, Prop. 7.7.1; Macdonald, *Symmetric
   Functions and Hall Polynomials*, Ch. I Section 6),
-* monomial -> power through the exact rational inverse of R (Gauss-Jordan).
+* monomial -> Schur and monomial -> power by back-substitution on the same
+  two matrices, each triangular in lexicographic order: the Kostka matrix
+  is unitriangular in descending order (a linear extension of dominance),
+  and R is triangular in ascending order, since p_lam reaches only the m_mu
+  with mu coarser than lam.  Only R's integer diagonal is divided by; there
+  is no rational inverse.  A nonzero residue raises ``IdentityViolation``.
 """
 
 from __future__ import annotations
@@ -172,25 +174,6 @@ def z_of(lam) -> int:
 # Transition tables
 # ---------------------------------------------------------------------------
 
-def _invert_rational_matrix(mat):
-    """Exact inverse of a square Fraction matrix by Gauss-Jordan."""
-    size = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(size)]
-            for i, row in enumerate(mat)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("transition matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(size):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [row[size:] for row in work]
-
-
 def _merge_counts(partitions):
     """The p -> m matrix R of one degree, R[lam][mu] = [m_mu] p_lam.
 
@@ -230,7 +213,6 @@ class TransitionTable:
             [kostka(lam, mu) for mu in self.partitions] for lam in self.partitions
         ]
         self.power_to_monomial = _merge_counts(self.partitions)
-        self.monomial_to_power = _invert_rational_matrix(self.power_to_monomial)
 
 
 @lru_cache(maxsize=16)
@@ -255,23 +237,31 @@ def _apply(f: SymFunc, matrix, basis: str) -> SymFunc:
     return SymFunc(f.degree, basis, out, f.ring)
 
 
-def _monomial_to_schur(f: SymFunc) -> SymFunc:
+def _solve(f: SymFunc, matrix, order, basis: str) -> SymFunc:
+    """Invert ``_apply`` for a matrix that is triangular in ``order``.
+
+    Each row may reach only its own partition and those after it in
+    ``order``, so the first coefficient left in the residue is the solved
+    coefficient times the row's diagonal entry.
+    """
     table = transition_table(f.degree)
     residue = dict(f.coeffs)
     out = {}
-    for i, lam in enumerate(table.partitions):  # descending lex refines dominance
+    for lam in order:
         c = residue.pop(lam, None)
         if c is None or c.is_zero():
             continue
+        i = table.index[lam]
+        if matrix[i][i] != 1:
+            c = c.scale(Fraction(1, matrix[i][i]))
         out[lam] = c
-        for j, mu in enumerate(table.partitions):
-            k = table.kostka[i][j]
+        for mu, k in zip(table.partitions, matrix[i]):
             if k and mu != lam:
                 prior = residue.get(mu, f.ring.zero())
                 residue[mu] = prior - c.scale(Fraction(k))
     if any(not v.is_zero() for v in residue.values()):
-        raise IdentityViolation(f"monomial to Schur back-substitution left a residue in degree {f.degree}")
-    return SymFunc(f.degree, "schur", out, f.ring)
+        raise IdentityViolation(f"monomial to {basis} back-substitution left a residue in degree {f.degree}")
+    return SymFunc(f.degree, basis, out, f.ring)
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
@@ -287,9 +277,10 @@ def convert(f: SymFunc, target: str) -> SymFunc:
         f = _apply(f, table.power_to_monomial, "monomial")
     if target == "monomial":
         return f
-    if target == "schur":
-        return _monomial_to_schur(f)
-    return _apply(f, table.monomial_to_power, "power")
+    if target == "schur":  # descending lex refines dominance
+        return _solve(f, table.kostka, table.partitions, "schur")
+    # p_lam reaches only the m_mu with mu coarser than lam, so ascending lex
+    return _solve(f, table.power_to_monomial, table.partitions[::-1], "power")
 
 
 def omega(f: SymFunc) -> SymFunc:

@@ -238,13 +238,20 @@ def _collect(results):
     return items, counterexample
 
 
+def _report(name: str, fn, max_n: int, progress, *args) -> VerifyReport:
+    """Run fn on every partition of 1..max_n, passing (mu, *args) when args
+    are given, and collect the results into one report."""
+    start = time.perf_counter()
+    mus = [mu for n in range(1, max_n + 1) for mu in partitions_of(n)]
+    jobs = [(mu, *args) for mu in mus] if args else mus
+    items, counterexample = _collect(_run_mapped(fn, jobs, progress))
+    return VerifyReport(name, max_n, items, counterexample, time.perf_counter() - start)
+
+
 def run_suite(suite: str, max_n: int, progress=None) -> VerifyReport:
     if suite not in _SUITE_ITEM:
         raise ValueError(f"unknown suite {suite!r}")
-    start = time.perf_counter()
-    mus = [mu for n in range(1, max_n + 1) for mu in partitions_of(n)]
-    items, counterexample = _collect(_run_mapped(_SUITE_ITEM[suite], mus, progress))
-    return VerifyReport(suite, max_n, items, counterexample, time.perf_counter() - start)
+    return _report(suite, _SUITE_ITEM[suite], max_n, progress)
 
 
 def run_suites(suite: str, max_n: int, progress=None):
@@ -327,9 +334,4 @@ _CONJECTURES = {"haglund": scan_haglund_mu, "palindromic": scan_palindromic_mu}
 def run_conjecture(which: str, max_n: int, max_k: int, progress=None) -> VerifyReport:
     if which not in _CONJECTURES:
         raise ValueError(f"unknown conjecture {which!r}")
-    start = time.perf_counter()
-    mus = [mu for n in range(1, max_n + 1) for mu in partitions_of(n)]
-    results = _run_mapped(_CONJECTURES[which], [(mu, max_k) for mu in mus], progress)
-    items, counterexample = _collect(results)
-    return VerifyReport(f"conjecture:{which}", max_n, items, counterexample,
-                        time.perf_counter() - start)
+    return _report(f"conjecture:{which}", _CONJECTURES[which], max_n, progress, max_k)

@@ -154,7 +154,6 @@ def test_schur_positive():
 def test_unitriangularity_of_kostka_table():
     for n in range(1, 10):
         table = transition_table(n)
-        size = len(table.partitions)
         for i, lam in enumerate(table.partitions):
             assert table.kostka[i][i] == 1
             # p_lam contains m_lam once per rearrangement of lam's equal parts
@@ -164,9 +163,12 @@ def test_unitriangularity_of_kostka_table():
                 assert table.kostka[i][j] == 0
                 # p_lam only reaches m_mu for mu coarser than lam, so earlier in the order
                 assert table.power_to_monomial[j][i] == 0
-        product = [[sum(table.monomial_to_power[i][k] * table.power_to_monomial[k][j] for k in range(size))
-                    for j in range(size)] for i in range(size)]
-        assert product == [[int(i == j) for j in range(size)] for i in range(size)]
+        # both solves invert their forward matrix: p -> m -> p and s -> m -> s
+        for ring, c in ((LaurentQT, P("q - 2*t")), (AlphaPoly, AlphaPoly.parse("1 + a"))):
+            for lam in table.partitions:
+                for basis in ("power", "schur"):
+                    f = SymFunc(n, basis, {lam: c}, ring)
+                    assert convert(convert(f, "monomial"), basis) == f, (ring, basis, lam)
 
 
 def test_alpha_ring_conversions():
