@@ -23,7 +23,6 @@ from .graphs import (
 )
 from .jack import jack_chromatic, jack_knop_sahi, jack_power, jack_schur, wt_alpha
 from .macdonald import (
-    IFTableau,
     ift_enumerate,
     j_chromatic,
     j_hhl,

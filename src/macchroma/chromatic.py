@@ -44,7 +44,7 @@ from typing import NamedTuple
 from .graphs import IdentityViolation, UGraph, colorings, is_claw_free
 from .rings import LaurentQT
 from .shapes import partitions_of
-from .symfunc import SymFunc, convert, omega, z_of
+from .symfunc import SymFunc, convert, monomial_from_contents, omega, z_of
 
 __all__ = [
     "IdentityViolation",
@@ -59,7 +59,6 @@ __all__ = [
     "graph_tableaux",
     "tableau_inv",
     "perm_inv",
-    "BlockPermutation",
     "t_analogue",
     "ColoringCensus",
     "coloring_census",
@@ -161,19 +160,6 @@ def _audit_symmetry(census, n, what: str):
             raise IdentityViolation(f"{what} not symmetric (type {typ})")
 
 
-def _census_to_monomial(census, n: int, with_t: bool) -> SymFunc:
-    coeffs = {}
-    for lam in partitions_of(n):
-        hist = census.get(lam + (0,) * (n - len(lam)))
-        if not hist:
-            continue
-        if with_t:
-            coeffs[lam] = LaurentQT({(0, asc): Fraction(c) for asc, c in hist.items()})
-        else:
-            coeffs[lam] = LaurentQT.from_int(sum(hist.values()))
-    return SymFunc(n, "monomial", coeffs, LaurentQT)
-
-
 def from_census(census: ColoringCensus, mask: int = 0, with_t: bool = True) -> SymFunc:
     """X_H (a proper census) or LLT_H (an all-colorings census) in the
     monomial basis, for H = G plus the added edges whose bits are set in
@@ -193,7 +179,13 @@ def from_census(census: ColoringCensus, mask: int = 0, with_t: bool = True) -> S
         if hist:
             hists[vec] = hist
     _audit_symmetry(hists, n, "X_H" if census.proper else "LLT_G")
-    return _census_to_monomial(hists, n, with_t)
+
+    def coeff(hist):
+        if with_t:
+            return LaurentQT({(0, asc): Fraction(c) for asc, c in hist.items()})
+        return LaurentQT.from_int(sum(hist.values()))
+
+    return monomial_from_contents(hists, n, LaurentQT, coeff)
 
 
 def x_g(h: UGraph, with_t: bool = True) -> SymFunc:
@@ -286,45 +278,6 @@ def x_g_schur(h: UGraph) -> SymFunc:
 # Block permutations and the power sum expansion
 # ---------------------------------------------------------------------------
 
-class BlockPermutation:
-    """A permutation in one-line notation cut into blocks of lengths lam."""
-
-    __slots__ = ("lam", "sigma", "block_of")
-
-    def __init__(self, lam, sigma):
-        lam = tuple(lam)
-        sigma = tuple(sigma)
-        if sorted(sigma) != list(range(1, sum(lam) + 1)):
-            raise ValueError("sigma must be a permutation of 1..n")
-        block_of = []
-        for b, length in enumerate(lam):
-            block_of.extend([b] * length)
-        self.lam = lam
-        self.sigma = sigma
-        self.block_of = tuple(block_of)
-
-    @classmethod
-    def _of_generated(cls, lam: tuple, sigma: tuple, block_of: tuple) -> "BlockPermutation":
-        """One built by ``_block_permutations``, whose sigma is a permutation
-        by construction, sharing its block_of tuple."""
-        self = object.__new__(cls)
-        self.lam, self.sigma, self.block_of = lam, sigma, block_of
-        return self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BlockPermutation)
-            and self.lam == other.lam
-            and self.sigma == other.sigma
-        )
-
-    def __hash__(self):
-        return hash((self.lam, self.sigma))
-
-    def __repr__(self):
-        return f"BlockPermutation(lam={self.lam}, sigma={self.sigma})"
-
-
 def _graph_descent_at(sigma, block_of, j: int, h: UGraph) -> bool:
     """Whether positions j-1 and j (0-based) of one block hold a graph
     descent: sigma[j-1] > sigma[j] and the two are not joined in h."""
@@ -334,10 +287,6 @@ def _graph_descent_at(sigma, block_of, j: int, h: UGraph) -> bool:
         and sigma[j - 1] > sigma[j]
         and not h.has_edge(sigma[j], sigma[j - 1])
     )
-
-
-def _has_graph_descent(sigma, block_of, h: UGraph) -> bool:
-    return any(_graph_descent_at(sigma, block_of, j, h) for j in range(1, len(sigma)))
 
 
 def _nontrivial_lr_max_at(sigma, block_of, j: int, h: UGraph) -> bool:
@@ -354,19 +303,16 @@ def _nontrivial_lr_max_at(sigma, block_of, j: int, h: UGraph) -> bool:
     return True
 
 
-def _has_nontrivial_lr_maximum(sigma, block_of, h: UGraph) -> bool:
-    # block starts are skipped before the call: wt_p runs this on every permutation
-    for j in range(1, len(sigma)):
-        if block_of[j] == block_of[j - 1] and _nontrivial_lr_max_at(sigma, block_of, j, h):
-            return True
-    return False
+def _block_of(lam) -> tuple:
+    """Block index of each position of a sigma cut into blocks of lengths lam."""
+    return tuple(b for b, length in enumerate(lam) for _ in range(length))
 
 
 def _block_permutations(h: UGraph, lam, rejects) -> list:
-    """Block permutations of h's vertices into blocks of lengths lam, in
-    lexicographic order of sigma, that ``rejects(h, sigma, block_of, start,
-    j)`` passes at no position j past the first of its block (which begins
-    at position ``start``).
+    """Block permutations of h's vertices into blocks of lengths lam, as
+    sigma tuples in one-line notation in lexicographic order, that
+    ``rejects(h, sigma, block_of, start, j)`` passes at no position j past
+    the first of its block (which begins at position ``start``).
 
     sigma is built one position at a time, trying values in ascending
     order, and a value is dropped on insertion.  That yields exactly the
@@ -378,19 +324,15 @@ def _block_permutations(h: UGraph, lam, rejects) -> list:
     n = sum(lam)
     if n != h.n:
         raise ValueError("partition size must equal vertex count")
-    block_of = []
-    start_of = []
-    for b, length in enumerate(lam):
-        block_of.extend([b] * length)
-        start_of.extend([len(start_of)] * length)
-    block_of = tuple(block_of)
+    block_of = _block_of(lam)
+    start_of = [block_of.index(b) for b in block_of]
     sigma = [0] * n
     used = [False] * (n + 1)
     out = []
 
     def place(j):
         if j == n:
-            out.append(BlockPermutation._of_generated(lam, tuple(sigma), block_of))
+            out.append(tuple(sigma))
             return
         start = start_of[j]
         for val in range(1, n + 1):
@@ -412,7 +354,8 @@ def _lambda_rejects(h, sigma, block_of, start, j) -> bool:
 
 
 def n_lambda(h: UGraph, lam) -> list:
-    """Permutations with no graph descents and no nontrivial LR graph maxima."""
+    """Permutations with no graph descents and no nontrivial LR graph maxima,
+    as sigma tuples cut into blocks of lengths lam."""
     return _block_permutations(h, lam, _lambda_rejects)
 
 
@@ -428,11 +371,11 @@ def perm_inv(h: UGraph, sigma) -> int:
 
 
 def _inversion_sum(h: UGraph, perms) -> LaurentQT:
-    """Sum of t^perm_inv over a list of block permutations, counted per
-    inversion number first."""
+    """Sum of t^perm_inv over a list of block permutations (sigma tuples),
+    counted per inversion number first."""
     hist: dict[int, int] = {}
-    for bp in perms:
-        inv = perm_inv(h, bp.sigma)
+    for sigma in perms:
+        inv = perm_inv(h, sigma)
         hist[inv] = hist.get(inv, 0) + 1
     return LaurentQT({(0, inv): count for inv, count in hist.items()})
 
@@ -460,8 +403,9 @@ def _tilde_rejects(h, sigma, block_of, start, j) -> bool:
 
 
 def n_tilde(h: UGraph, lam) -> list:
-    """Block permutations whose blocks start at their minimum and whose
-    in-block ascents are edges of h.
+    """Block permutations, as sigma tuples cut into blocks of lengths lam,
+    whose blocks start at their minimum and whose in-block ascents are
+    edges of h.
 
     Note: the consecutive-ascent condition must read "is an edge"; the
     non-edge reading contradicts the divided form already at two vertices.

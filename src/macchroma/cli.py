@@ -132,14 +132,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "jqt":
-            mu = _resolve_mu(args)
-            f = convert(_JQT_METHODS[args.method](mu), args.basis)
-            _emit(f, args.format)
-            return 0
-        if args.command == "jack":
-            mu = _resolve_mu(args)
-            f = convert(_JACK_METHODS[args.method](mu), args.basis)
+        if args.command in ("jqt", "jack"):
+            methods = _JQT_METHODS if args.command == "jqt" else _JACK_METHODS
+            f = convert(methods[args.method](_resolve_mu(args)), args.basis)
             _emit(f, args.format)
             return 0
         if args.command == "chromatic":

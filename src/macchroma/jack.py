@@ -22,10 +22,10 @@ from __future__ import annotations
 # perfbench's tracer self-tests check that every reference to it is wrapped
 from .chromatic import coloring_census, x_g  # noqa: F401
 from .graphs import IdentityViolation, UGraph, attacking_data, component_partition
-from .macdonald import IFTableau, _down_edge_places, ift_enumerate, non_attacking_fillings
+from .macdonald import _down_edge_places, ift_enumerate, non_attacking_fillings
 from .rings import AlphaPoly
 from .shapes import check_partition, partitions_of
-from .symfunc import SymFunc
+from .symfunc import SymFunc, monomial_from_contents
 
 
 def hook_alpha(arm: int, leg: int) -> AlphaPoly:
@@ -58,12 +58,7 @@ def jack_knop_sahi(mu) -> SymFunc:
         prior = buckets.get(key)
         buckets[key] = weight_by_mask[mask] if prior is None else prior + weight_by_mask[mask]
 
-    coeffs = {}
-    for lam in partitions_of(n):
-        value = buckets.get(lam + (0,) * (n - len(lam)))
-        if value is not None and not value.is_zero():
-            coeffs[lam] = value
-    return SymFunc(n, "monomial", coeffs, AlphaPoly)
+    return monomial_from_contents(buckets, n, AlphaPoly, lambda value: value)
 
 
 def jack_chromatic(mu) -> SymFunc:
@@ -111,14 +106,14 @@ def jack_chromatic(mu) -> SymFunc:
     return SymFunc(n, "monomial", coeffs, AlphaPoly)
 
 
-def wt_alpha(tableau: IFTableau) -> AlphaPoly:
-    """Hook weight of an integral form tableau.
+def wt_alpha(mu, rows) -> AlphaPoly:
+    """Hook weight of an integral form tableau of type mu, given by its rows.
 
     Per down-edge {u, v}: multiply by 1+hook(u) when u sits immediately left
     of v, by -hook(u) when u sits immediately above v, and by 1 otherwise.
     """
     weight = AlphaPoly.one()
-    for place, arm_u, leg_u in _down_edge_places(tableau):
+    for place, arm_u, leg_u in _down_edge_places(tuple(mu), rows):
         if place == "left":
             weight = weight * (AlphaPoly.one() + hook_alpha(arm_u, leg_u))
         elif place == "top":
@@ -133,9 +128,8 @@ def jack_schur(mu) -> SymFunc:
     if n == 0:
         return SymFunc(0, "schur", {(): AlphaPoly.one()}, AlphaPoly)
     coeffs: dict[tuple[int, ...], AlphaPoly] = {}
-    for tableau in ift_enumerate(mu):
-        w = wt_alpha(tableau)
-        lam = tableau.shape
+    for lam, rows in ift_enumerate(mu):
+        w = wt_alpha(mu, rows)
         coeffs[lam] = coeffs.get(lam, AlphaPoly.zero()) + w
     return SymFunc(n, "schur", coeffs, AlphaPoly)
 

@@ -24,9 +24,8 @@ from fractions import Fraction
 
 from .chromatic import (
     IdentityViolation,
-    BlockPermutation,
-    _has_graph_descent,
-    _has_nontrivial_lr_maximum,
+    _block_of,
+    _lambda_rejects,
     _nontrivial_lr_max_at,
     graph_tableaux,
     n_lambda,
@@ -37,7 +36,7 @@ from .chromatic import (
 from .graphs import attacking_data, colorings, sandwich_graphs
 from .rings import LaurentQT
 from .shapes import Diagram, check_partition, conjugate, n_stat, partitions_of
-from .symfunc import SymFunc, omega, z_of
+from .symfunc import SymFunc, monomial_from_contents, omega, z_of
 
 ONE_MINUS_T = LaurentQT.parse("1 - t")
 
@@ -99,17 +98,6 @@ def non_attacking_fillings(mu):
         yield values, maj, pairs - asc, arm_des, mask
 
 
-def _monomial_from_buckets(buckets, n: int) -> SymFunc:
-    coeffs = {}
-    for lam in partitions_of(n):
-        terms = buckets.get(lam + (0,) * (n - len(lam)))
-        if terms:
-            value = LaurentQT(terms)
-            if not value.is_zero():
-                coeffs[lam] = value
-    return SymFunc(n, "monomial", coeffs, LaurentQT)
-
-
 def j_hhl(mu) -> SymFunc:
     """Haglund-Haiman-Loehr filling formula, monomial basis."""
     mu = check_partition(mu)
@@ -144,7 +132,7 @@ def j_hhl(mu) -> SymFunc:
                 acc[key] = s
             else:
                 del acc[key]
-    return _monomial_from_buckets(buckets, n)
+    return monomial_from_contents(buckets, n, LaurentQT, LaurentQT)
 
 
 def j_chromatic(mu) -> SymFunc:
@@ -174,49 +162,29 @@ def j_chromatic(mu) -> SymFunc:
 # Integral form tableaux and the Schur formula
 # ---------------------------------------------------------------------------
 
-class IFTableau:
-    """Bijective filling of a shape constrained by the attacking graphs of mu.
-
-    ``rows`` is a tuple of row tuples, bottom row first (French convention).
-    """
-
-    __slots__ = ("mu", "shape", "rows")
-
-    def __init__(self, mu, shape, rows):
-        self.mu = tuple(mu)
-        self.shape = tuple(shape)
-        self.rows = tuple(tuple(r) for r in rows)
-
-    def __eq__(self, other):
-        return isinstance(other, IFTableau) and (self.mu, self.rows) == (other.mu, other.rows)
-
-    def __hash__(self):
-        return hash((self.mu, self.rows))
-
-    def __repr__(self):
-        return f"IFTableau(mu={self.mu}, rows={self.rows})"
-
-
 def ift_enumerate(mu):
-    """All integral form tableaux of type mu, shapes in descending lex order."""
+    """Yield (shape, rows) for every integral form tableau of type mu, a
+    bijective filling of a shape constrained by the attacking graphs of mu;
+    ``rows`` is a tuple of row tuples, bottom row first (French convention).
+    Shapes come in descending lex order."""
     mu = check_partition(mu)
     n = sum(mu)
     data = attacking_data(mu)
     for lam in partitions_of(n):
         for rows in graph_tableaux(lam, n, data.g, data.g_plus):
-            yield IFTableau(mu, lam, rows)
+            yield lam, rows
 
 
-def _down_edge_places(tableau: IFTableau):
-    """Yield (place, arm(u), leg(u)) per down-edge {u, v} of the tableau's
-    type, where place says where u sits relative to v in the tableau:
-    "left" (immediately left of v in its row), "top" (directly on top of v),
-    "higher" (elsewhere in a higher row) or "other"."""
+def _down_edge_places(mu, rows):
+    """Yield (place, arm(u), leg(u)) per down-edge {u, v} of mu (a tuple),
+    where place says where u sits relative to v in the tableau ``rows`` of
+    type mu: "left" (immediately left of v in its row), "top" (directly on
+    top of v), "higher" (elsewhere in a higher row) or "other"."""
     pos = {}
-    for r, row in enumerate(tableau.rows, start=1):
+    for r, row in enumerate(rows, start=1):
         for c, entry in enumerate(row, start=1):
             pos[entry] = (r, c)
-    for (u, v), arm_u, leg_u in attacking_data(tableau.mu).down_edges:
+    for (u, v), arm_u, leg_u in attacking_data(mu).down_edges:
         ru, cu = pos[u]
         rv, cv = pos[v]
         if ru == rv and cv == cu + 1:
@@ -230,17 +198,17 @@ def _down_edge_places(tableau: IFTableau):
         yield place, arm_u, leg_u
 
 
-def wt_mu(tableau: IFTableau) -> LaurentQT:
-    """q,t-weight of an integral form tableau.
+def wt_mu(mu, rows) -> LaurentQT:
+    """q,t-weight of an integral form tableau of type mu, given by its rows.
 
     Each down-edge {u, v} contributes one factor picked by where u sits
     relative to v in the tableau (left-adjacent, directly on top, higher row,
     or anything else); the whole product is scaled by t to the number of
     attacking edges whose smaller label sits in a strictly higher row.
     """
-    data = attacking_data(tableau.mu)
-    weight = LaurentQT.term(1, 0, tableau_inv(tableau.rows, data.g))
-    for place, arm_u, leg_u in _down_edge_places(tableau):
+    mu = tuple(mu)
+    weight = LaurentQT.term(1, 0, tableau_inv(rows, attacking_data(mu).g))
+    for place, arm_u, leg_u in _down_edge_places(mu, rows):
         if place == "left":
             factor = LaurentQT.term(1, 0, -arm_u) * _one_minus_qt(leg_u + 1, arm_u + 1)
         elif place == "top":
@@ -261,9 +229,8 @@ def j_schur(mu) -> SymFunc:
         return SymFunc(0, "schur", {(): LaurentQT.one()}, LaurentQT)
     scale = ONE_MINUS_T ** mu[0]
     coeffs: dict[tuple[int, ...], LaurentQT] = {}
-    for tableau in ift_enumerate(mu):
-        w = wt_mu(tableau)
-        lam = tableau.shape
+    for lam, rows in ift_enumerate(mu):
+        w = wt_mu(mu, rows)
         coeffs[lam] = coeffs.get(lam, LaurentQT.zero()) + w
     return SymFunc(n, "schur", {lam: c * scale for lam, c in coeffs.items()}, LaurentQT)
 
@@ -272,10 +239,12 @@ def j_schur(mu) -> SymFunc:
 # Power sum formula
 # ---------------------------------------------------------------------------
 
-def wt_p(bp: BlockPermutation, mu) -> LaurentQT:
-    """Weight of a block permutation in the power sum formula.
+def wt_p(sigma, lam, mu) -> LaurentQT:
+    """Weight of a block permutation in the power sum formula: sigma in
+    one-line notation, cut into blocks of lengths lam.
 
-    The permutation must avoid graph descents and nontrivial left-to-right
+    sigma must be a permutation of 1..n for n = |mu|, lam must sum to n, and
+    the permutation must avoid graph descents and nontrivial left-to-right
     maxima with respect to the augmented attacking graph.  The weight is t to
     the number of inversion pairs lying on attacking-graph edges (the same
     role t^inv plays in the tableau weight) times one factor per down-edge
@@ -285,12 +254,15 @@ def wt_p(bp: BlockPermutation, mu) -> LaurentQT:
     """
     mu = check_partition(mu)
     data = attacking_data(mu)
-    sigma = bp.sigma
-    block_of = bp.block_of
-    if _has_graph_descent(sigma, block_of, data.g_plus) or _has_nontrivial_lr_maximum(
-        sigma, block_of, data.g_plus
-    ):
-        raise ValueError("permutation outside N_lambda of the augmented attacking graph")
+    n = sum(mu)
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError("sigma must be a permutation of 1..n")
+    if sum(lam) != n:
+        raise ValueError("block lengths must sum to n")
+    block_of = _block_of(lam)
+    for j in range(1, n):
+        if block_of[j] == block_of[j - 1] and _lambda_rejects(data.g_plus, sigma, block_of, None, j):
+            raise ValueError("permutation outside N_lambda of the augmented attacking graph")
     pos_of = {val: i for i, val in enumerate(sigma)}
     weight = LaurentQT.term(1, 0, perm_inv(data.g, sigma))
     for (u, v), arm_u, leg_u in data.down_edges:
@@ -318,8 +290,8 @@ def j_power(mu) -> SymFunc:
     coeffs = {}
     for lam in partitions_of(n):
         total = LaurentQT.zero()
-        for bp in n_lambda(data.g_plus, lam):
-            total = total + wt_p(bp, mu)
+        for sigma in n_lambda(data.g_plus, lam):
+            total = total + wt_p(sigma, lam, mu)
         value = (total * pref).scale(Fraction(1, z_of(lam)))
         if not value.is_zero():
             coeffs[lam] = value

@@ -186,18 +186,6 @@ class LaurentQT:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self._terms.values())
 
-    def is_nonnegative(self) -> bool:
-        return all(c > 0 for c in self._terms.values())
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (every exponent zero)."""
-        if not self._terms:
-            return _ZERO
-        origin = (0,) * len(self.VARS)
-        if set(self._terms) != {origin}:
-            raise ValueError("not a constant polynomial")
-        return self._terms[origin]
-
     # -- ring operations ---------------------------------------------------
 
     def __eq__(self, other) -> bool:

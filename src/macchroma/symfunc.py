@@ -117,6 +117,19 @@ class SymFunc:
         return f"SymFunc(degree={self.degree}, basis={self.basis!r}, {len(self.coeffs)} terms)"
 
 
+def monomial_from_contents(by_content, n: int, ring, coeff) -> SymFunc:
+    """The monomial SymFunc over ``ring`` of a map {content: raw value}
+    whose contents are padded with zeros to length n: for each partition
+    lam of n, the m_lam coefficient is ``coeff(raw)`` of the value stored
+    under padded lam, and a content the map lacks contributes nothing."""
+    coeffs = {}
+    for lam in partitions_of(n):
+        raw = by_content.get(lam + (0,) * (n - len(lam)))
+        if raw is not None:
+            coeffs[lam] = coeff(raw)
+    return SymFunc(n, "monomial", coeffs, ring)
+
+
 # ---------------------------------------------------------------------------
 # Kostka numbers
 # ---------------------------------------------------------------------------

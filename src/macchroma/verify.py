@@ -112,10 +112,10 @@ def check_macdonald_mu(mu) -> dict:
     if bad:
         return bad
 
-    for tableau in macmod.ift_enumerate(mu):
-        w = macmod.wt_mu(tableau)
+    for shape, rows in macmod.ift_enumerate(mu):
+        w = macmod.wt_mu(mu, rows)
         if w.has_negative_exponents() or not w.is_integral():
-            return _counterexample(mu, "wt_polynomial", None, tableau.shape,
+            return _counterexample(mu, "wt_polynomial", None, shape,
                                    "element of Z[q,t]", str(w))
     return {"mu": list(mu), "status": "pass"}
 

@@ -12,7 +12,6 @@ import macchroma
 from macchroma import graphs, shapes
 from macchroma.chromatic import (
     IdentityViolation,
-    BlockPermutation,
     _plethysm_holds,
     coloring_census,
     from_census,
@@ -73,9 +72,9 @@ def test_x_g_schur_requires_claw_free():
 def test_n_lambda_small_cases():
     empty = UGraph(2)
     assert n_lambda(empty, (2,)) == []
-    assert [bp.sigma for bp in n_lambda(empty, (1, 1))] == [(1, 2), (2, 1)]
+    assert n_lambda(empty, (1, 1)) == [(1, 2), (2, 1)]
     edge = UGraph(2, [(1, 2)])
-    assert [bp.sigma for bp in n_lambda(edge, (2,))] == [(1, 2), (2, 1)]
+    assert n_lambda(edge, (2,)) == [(1, 2), (2, 1)]
 
 
 def test_n_lambda_singleton_blocks_admit_everything():
@@ -123,7 +122,7 @@ def test_n_lambda_brute_filter_oracle():
         return out
 
     for h, lam in _sandwich_calls(5):
-        assert [bp.sigma for bp in n_lambda(h, lam)] == oracle(h, lam), (h, lam)
+        assert n_lambda(h, lam) == oracle(h, lam), (h, lam)
 
 
 def test_n_tilde_brute_filter_oracle():
@@ -143,7 +142,7 @@ def test_n_tilde_brute_filter_oracle():
         return out
 
     for h, lam in _sandwich_calls(5):
-        assert [bp.sigma for bp in n_tilde(h, lam)] == oracle(h, lam), (h, lam)
+        assert n_tilde(h, lam) == oracle(h, lam), (h, lam)
 
 
 def test_perm_inv():
@@ -160,13 +159,6 @@ def test_x_g_power_reproduces_direct_expansion():
     assert omega(x_g_power(chain)) == convert(x_g(chain), "power")
 
 
-def test_block_permutation_validation():
-    bp = BlockPermutation((2, 1), (2, 1, 3))
-    assert bp.block_of == (0, 0, 1)
-    with pytest.raises(ValueError):
-        BlockPermutation((2, 1), (1, 1, 2))
-
-
 def test_llt_small_graphs():
     assert llt_g(UGraph(2)).coeffs == {(2,): LaurentQT.one(), (1, 1): LaurentQT.from_int(2)}
     got = llt_g(UGraph(2, [(1, 2)]))
@@ -178,11 +170,19 @@ def test_llt_at_t_equals_one_counts_all_colorings():
         data = attacking_data(mu)
         f = llt_g(data.g_plus)
         total = sum(
-            (c.substitute_t(1, 0).constant_value() * _count_rearrangements(lam, 3)
+            (_constant_value(c.substitute_t(1, 0)) * _count_rearrangements(lam, 3)
              for lam, c in f.coeffs.items()),
             Fraction(0),
         )
         assert total == 3**3
+
+
+def _constant_value(p) -> Fraction:
+    """The value of a constant polynomial (every exponent zero)."""
+    origin = (0,) * len(p.VARS)
+    if set(p.terms) - {origin}:
+        raise ValueError(f"not a constant polynomial: {p}")
+    return p.terms.get(origin, Fraction(0))
 
 
 def _count_rearrangements(lam, n):
@@ -202,9 +202,9 @@ def test_llt_of_edgeless_graph_is_first_power_sum_to_the_n():
 
 def test_n_tilde_membership():
     edge = UGraph(2, [(1, 2)])
-    assert [bp.sigma for bp in n_tilde(edge, (2,))] == [(1, 2)]
+    assert n_tilde(edge, (2,)) == [(1, 2)]
     empty = UGraph(2)
-    assert [bp.sigma for bp in n_tilde(empty, (2,))] == []
+    assert n_tilde(empty, (2,)) == []
     assert len(n_tilde(empty, (1, 1))) == 2
 
 
@@ -260,11 +260,11 @@ def test_tilde_sum_times_analogue_matches_plain_sum():
         for h in sandwich_graphs(data):
             for lam in partitions_of(4):
                 plain = LaurentQT.zero()
-                for bp in n_lambda(h, lam):
-                    plain = plain + LaurentQT.term(1, 0, perm_inv(h, bp.sigma))
+                for sigma in n_lambda(h, lam):
+                    plain = plain + LaurentQT.term(1, 0, perm_inv(h, sigma))
                 tilde = LaurentQT.zero()
-                for bp in n_tilde(h, lam):
-                    tilde = tilde + LaurentQT.term(1, 0, perm_inv(h, bp.sigma))
+                for sigma in n_tilde(h, lam):
+                    tilde = tilde + LaurentQT.term(1, 0, perm_inv(h, sigma))
                 product = tilde
                 for part in lam:
                     product = product * t_analogue(part)

@@ -5,7 +5,6 @@ import pytest
 from macchroma.chromatic import n_lambda
 from macchroma.graphs import attacking_data
 from macchroma.macdonald import (
-    IFTableau,
     ift_enumerate,
     j_chromatic,
     j_hhl,
@@ -52,8 +51,8 @@ def test_known_schur_coefficient_of_j31():
 
 
 def test_ift_enumerate_type_211_shape_22():
-    found = [t for t in ift_enumerate((2, 1, 1)) if t.shape == (2, 2)]
-    assert sorted(t.rows for t in found) == [
+    found = [rows for shape, rows in ift_enumerate((2, 1, 1)) if shape == (2, 2)]
+    assert sorted(found) == [
         ((1, 3), (2, 4)),
         ((1, 4), (2, 3)),
         ((2, 3), (1, 4)),
@@ -62,7 +61,7 @@ def test_ift_enumerate_type_211_shape_22():
 
 
 def test_ift_contains_reference_tableau():
-    target = IFTableau((2, 2, 2), (3, 2, 1), ((1, 4, 6), (3, 5), (2,)))
+    target = ((3, 2, 1), ((1, 4, 6), (3, 5), (2,)))
     assert target in list(ift_enumerate((2, 2, 2)))
 
 
@@ -94,14 +93,14 @@ def test_ift_brute_force_filter_oracle():
 
     for n in range(1, 6):
         for mu in partitions_of(n):
-            mine = {(t.shape, t.rows) for t in ift_enumerate(mu)}
+            mine = set(ift_enumerate(mu))
             assert mine == brute(mu)
 
 
 def test_ift_deterministic_order():
-    first = [(t.shape, t.rows) for t in ift_enumerate((2, 2))]
-    assert first == [(t.shape, t.rows) for t in ift_enumerate((2, 2))]
-    shapes = [t.shape for t in ift_enumerate((2, 2))]
+    first = list(ift_enumerate((2, 2)))
+    assert first == list(ift_enumerate((2, 2)))
+    shapes = [shape for shape, _ in ift_enumerate((2, 2))]
     assert shapes == sorted(shapes, reverse=True)
 
 
@@ -112,22 +111,22 @@ def test_wt_mu_values_type_211():
         ((2, 3), (1, 4)): P("-t") * P("1 - q") * P("1 - q^2*t"),
         ((2, 4), (1, 3)): P("-q^2*t^2") * P("1 - q") * P("1 - t"),
     }
-    for tableau in ift_enumerate((2, 1, 1)):
-        if tableau.shape == (2, 2):
-            assert wt_mu(tableau) == weights[tableau.rows]
+    for shape, rows in ift_enumerate((2, 1, 1)):
+        if shape == (2, 2):
+            assert wt_mu((2, 1, 1), rows) == weights[rows]
 
 
 def test_wt_mu_value_type_222():
-    tableau = IFTableau((2, 2, 2), (3, 2, 1), ((1, 4, 6), (3, 5), (2,)))
+    rows = ((1, 4, 6), (3, 5), (2,))
     expected = P("q*t^2") * P("1 - t") ** 2 * P("1 - q^2*t") * P("1 - q^2*t^2")
-    assert str(wt_mu(tableau)) == str(expected)
+    assert str(wt_mu((2, 2, 2), rows)) == str(expected)
 
 
 def test_wt_mu_polynomiality():
     for n in range(1, 7):
         for mu in partitions_of(n):
-            for tableau in ift_enumerate(mu):
-                w = wt_mu(tableau)
+            for _, rows in ift_enumerate(mu):
+                w = wt_mu(mu, rows)
                 assert not w.has_negative_exponents()
                 assert w.is_integral()
 
@@ -235,23 +234,32 @@ def test_hhl_output_is_polynomial():
 
 
 def test_wt_p_membership_check():
+    # wt_p accepts exactly N_lambda(G+): every member, and no other permutation
     data = attacking_data((2, 1, 1))
-    valid = n_lambda(data.g_plus, (2, 2))
-    for bp in valid:
-        wt_p(bp, (2, 1, 1))
-    from macchroma.chromatic import BlockPermutation
-
-    sigmas = {bp.sigma for bp in valid}
+    members = set(n_lambda(data.g_plus, (2, 2)))
+    assert 0 < len(members) < 24
     for sigma in permutations(range(1, 5)):
-        if sigma not in sigmas:
+        if sigma in members:
+            wt_p(sigma, (2, 2), (2, 1, 1))
+        else:
             with pytest.raises(ValueError):
-                wt_p(BlockPermutation((2, 2), sigma), (2, 1, 1))
-            break
+                wt_p(sigma, (2, 2), (2, 1, 1))
+
+
+def test_wt_p_input_checks():
+    sigma = n_lambda(attacking_data((2, 1, 1)).g_plus, (2, 2))[0]
+    wt_p(sigma, (2, 2), (2, 1, 1))
+    for bad_sigma in ((1, 1, 2, 3), (1, 2, 3), (1, 2, 3, 5), (1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError):
+            wt_p(bad_sigma, (2, 2), (2, 1, 1))
+    for bad_lam in ((2, 1), (2, 2, 1), ()):
+        with pytest.raises(ValueError):
+            wt_p(sigma, bad_lam, (2, 1, 1))
 
 
 def test_wt_p_degree_one():
-    bp = n_lambda(attacking_data((1,)).g_plus, (1,))[0]
-    assert wt_p(bp, (1,)) == LaurentQT.one()
+    sigma = n_lambda(attacking_data((1,)).g_plus, (1,))[0]
+    assert wt_p(sigma, (1,), (1,)) == LaurentQT.one()
 
 
 def test_degree_zero_expansions():
