@@ -34,8 +34,6 @@ from .macdonald import (
 )
 from .rings import AlphaPoly, InexactDivision, LaurentQT, NonInvertible
 from .shapes import (
-    Diagram,
-    attacking_pairs,
     conjugate,
     n_stat,
     parse_partition,

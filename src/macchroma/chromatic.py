@@ -444,8 +444,9 @@ def llt_power_tilde(h: UGraph) -> SymFunc:
     return SymFunc(n, "power", coeffs, LaurentQT)
 
 
-def verify_plethysm(h: UGraph) -> bool:
-    """Cross-check every LLT power sum route of h against direct enumeration.
+def verify_plethysm(h: UGraph, llt: SymFunc, x: SymFunc) -> bool:
+    """Cross-check every LLT power sum route of h against h's monomial LLT_H
+    and X_H (``llt_g(h)`` and ``x_g(h)``, or read off a shared census).
 
     Checks, for every lambda, each quotient cleared of its denominator so
     that both sides are Laurent polynomials:
@@ -455,14 +456,10 @@ def verify_plethysm(h: UGraph) -> bool:
       3. coefficientwise, LLT equals (t-1)^n X[p_k -> p_k/(t^k - 1)],
       4. each N_lambda inversion sum is exactly divisible by the product of
          the t-analogues of the parts.
+
+    LLT_H goes to the power basis once, and each N_lambda sum and
+    t-analogue product serves checks 2 and 4 alike.
     """
-    return _plethysm_holds(h, llt_g(h), x_g(h))
-
-
-def _plethysm_holds(h: UGraph, llt: SymFunc, x: SymFunc) -> bool:
-    """``verify_plethysm`` given h's monomial LLT_H and X_H, for callers that
-    read them off a shared census.  LLT_H goes to the power basis once, and
-    each N_lambda sum and t-analogue product serves checks 2 and 4 alike."""
     n = h.n
     llt_power = convert(llt, "power")
     direct = omega(llt_power)

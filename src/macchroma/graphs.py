@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .shapes import Diagram, IdentityViolation, check_partition
+from .shapes import IdentityViolation, check_partition, conjugate
 
 
 class UGraph:
@@ -63,22 +63,33 @@ class UGraph:
 class AttackingData:
     """Attacking graph, augmented attacking graph, and annotated down-edges.
 
+    Cells (row, col) are 1-based in the French convention: row 1 is the
+    bottom row and holds the largest part.  Labels 1..n follow reading
+    order, top row first and each row left to right.  Two cells attack when
+    they share a row, or sit in adjacent rows with the upper (earlier-read)
+    cell strictly to the right of the lower one.
+
     Each down-edge {u, down(u)} carries the (arm, leg) of its upper cell u,
-    which is all any edge weight downstream ever needs.
+    which is all any edge weight downstream ever needs.  The arm counts the
+    cells strictly to the right of u in its row, and the leg the cells
+    strictly above u in its *column*.  (Some sources phrase the leg as
+    "above in its row", which reads as a typo; the column count is what the
+    arm/leg picture and every downstream identity require.)
     """
 
     __slots__ = ("mu", "g", "g_plus", "down_edges")
 
     def __init__(self, mu):
         mu = check_partition(mu)
-        diagram = Diagram(mu)
-        n = diagram.n
-        g = UGraph(n, diagram.attacking_pairs())
-        down_edges = []
-        for u in range(1, n + 1):
-            v = diagram.down_by_label.get(u)
-            if v is not None:
-                down_edges.append(((u, v), diagram.arm_by_label[u], diagram.leg_by_label[u]))
+        n = sum(mu)
+        cols = conjugate(mu)
+        cells = [(r, c) for r in range(len(mu), 0, -1) for c in range(1, mu[r - 1] + 1)]
+        label = {cell: v for v, cell in enumerate(cells, start=1)}
+        g = UGraph(n, [(u, v) for u, (ru, cu) in enumerate(cells, start=1)
+                       for v, (rv, cv) in enumerate(cells[u:], start=u + 1)
+                       if ru == rv or (ru == rv + 1 and cu > cv)])
+        down_edges = [((u, label[r - 1, c]), mu[r - 1] - c, cols[c - 1] - r)
+                      for u, (r, c) in enumerate(cells, start=1) if r > 1]
         g_plus = g.with_edges(edge for edge, _, _ in down_edges)
         if not g.edge_set() <= g_plus.edge_set():
             raise IdentityViolation(f"attacking graph of {mu} is not inside its augmentation")

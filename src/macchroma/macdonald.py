@@ -35,7 +35,7 @@ from .chromatic import (
 )
 from .graphs import attacking_data, colorings, sandwich_graphs
 from .rings import LaurentQT
-from .shapes import Diagram, check_partition, conjugate, n_stat, partitions_of
+from .shapes import check_partition, conjugate, n_stat, partitions_of
 from .symfunc import SymFunc, monomial_from_contents, omega, z_of
 
 ONE_MINUS_T = LaurentQT.parse("1 - t")
@@ -101,8 +101,7 @@ def non_attacking_fillings(mu):
 def j_hhl(mu) -> SymFunc:
     """Haglund-Haiman-Loehr filling formula, monomial basis."""
     mu = check_partition(mu)
-    diagram = Diagram(mu)
-    n = diagram.n
+    n = sum(mu)
     if n == 0:
         return SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
     data = attacking_data(mu)

@@ -180,7 +180,7 @@ def check_llt_mu(mu) -> dict:
     x_census = chrom.coloring_census(data.g, added)
     for index, h in enumerate(sandwich_graphs(data)):
         llt, x = chrom.from_census(llt_census, index), chrom.from_census(x_census, index)
-        if not chrom._plethysm_holds(h, llt, x):
+        if not chrom.verify_plethysm(h, llt, x):
             return _counterexample(mu, f"llt_plethysm_mask{index}", "power", None,
                                    "plethystic identities hold", "violation")
     return {"mu": list(mu), "status": "pass"}
@@ -271,27 +271,36 @@ def _positivity_failure(value: LaurentQT):
     return None
 
 
+def _scan(mu, max_k, name, specialize, divisor, palindromic) -> dict:
+    """For k = 1..max_k, ``specialize(c, k)`` each Schur coefficient c of
+    J_mu and divide by ``divisor``; the quotient must be a nonnegative
+    integer polynomial, and palindromic in t when ``palindromic``."""
+    schur = macmod.j_schur(mu)
+    for k in range(1, max_k + 1):
+        for lam, c in sorted(schur.coeffs.items(), reverse=True):
+            specialized = specialize(c, k)
+            try:
+                quotient = specialized.exact_div(divisor)
+            except InexactDivision:
+                return _counterexample(mu, f"{name}_k{k}", "schur", lam,
+                                       "exact division", f"inexact: {specialized}")
+            witness = _positivity_failure(quotient)
+            if witness:
+                return _counterexample(mu, f"{name}_k{k}", "schur", lam,
+                                       "nonnegative", witness)
+            if palindromic and not quotient.is_palindromic_in_t():
+                return _counterexample(mu, f"{name}_k{k}", "schur", lam,
+                                       "palindromic", str(quotient))
+    return {"mu": list(mu), "status": "pass"}
+
+
 def scan_haglund_mu(args) -> dict:
     """Specialize t to q^k; every Schur coefficient over (1-q)^n must be
     a nonnegative integer polynomial."""
     mu, max_k = args
     mu = check_partition(mu)
-    n = sum(mu)
-    schur = macmod.j_schur(mu)
-    divisor = LaurentQT.parse("1 - q") ** n
-    for k in range(1, max_k + 1):
-        for lam, c in sorted(schur.coeffs.items(), reverse=True):
-            specialized = c.substitute_t(1, k)
-            try:
-                quotient = specialized.exact_div(divisor)
-            except InexactDivision:
-                return _counterexample(mu, f"haglund_k{k}", "schur", lam,
-                                       "exact division", f"inexact: {specialized}")
-            witness = _positivity_failure(quotient)
-            if witness:
-                return _counterexample(mu, f"haglund_k{k}", "schur", lam,
-                                       "nonnegative", witness)
-    return {"mu": list(mu), "status": "pass"}
+    return _scan(mu, max_k, "haglund", lambda c, k: c.substitute_t(1, k),
+                 LaurentQT.parse("1 - q") ** sum(mu), palindromic=False)
 
 
 def scan_palindromic_mu(args) -> dict:
@@ -305,27 +314,10 @@ def scan_palindromic_mu(args) -> dict:
     """
     mu, max_k = args
     mu = check_partition(mu)
-    n = sum(mu)
-    schur = macmod.j_schur(mu)
-    divisor = macmod.ONE_MINUS_T ** n
     shift_unit = n_stat(mu)  # n of the conjugate of the output index
-    for k in range(1, max_k + 1):
-        shift = LaurentQT.term(1, 0, k * shift_unit)
-        for lam, c in sorted(schur.coeffs.items(), reverse=True):
-            specialized = c.substitute_q(1, -k) * shift
-            try:
-                quotient = specialized.exact_div(divisor)
-            except InexactDivision:
-                return _counterexample(mu, f"palindromic_k{k}", "schur", lam,
-                                       "exact division", f"inexact: {specialized}")
-            witness = _positivity_failure(quotient)
-            if witness:
-                return _counterexample(mu, f"palindromic_k{k}", "schur", lam,
-                                       "nonnegative", witness)
-            if not quotient.is_palindromic_in_t():
-                return _counterexample(mu, f"palindromic_k{k}", "schur", lam,
-                                       "palindromic", str(quotient))
-    return {"mu": list(mu), "status": "pass"}
+    return _scan(mu, max_k, "palindromic",
+                 lambda c, k: c.substitute_q(1, -k) * LaurentQT.term(1, 0, k * shift_unit),
+                 macmod.ONE_MINUS_T ** sum(mu), palindromic=True)
 
 
 _CONJECTURES = {"haglund": scan_haglund_mu, "palindromic": scan_palindromic_mu}

@@ -13,7 +13,7 @@ hand-derived degree-2 counterexample.
 import time
 from fractions import Fraction
 
-from macchroma.chromatic import verify_plethysm, x_g, x_g_power, x_g_schur
+from macchroma.chromatic import llt_g, verify_plethysm, x_g, x_g_power, x_g_schur
 from macchroma.graphs import attacking_data, is_claw_free, sandwich_graphs
 from macchroma.jack import jack_chromatic, jack_knop_sahi, jack_power, jack_schur, wt_alpha
 from macchroma.macdonald import (
@@ -215,7 +215,7 @@ def test_criterion_6_llt_suite():
     for n in range(1, 6):
         for mu in partitions_of(n):
             for h in sandwich_graphs(attacking_data(mu)):
-                assert verify_plethysm(h), (mu, h.edges)
+                assert verify_plethysm(h, llt_g(h), x_g(h)), (mu, h.edges)
     elapsed = time.perf_counter() - start
     assert _report("6 (plethystic and divisibility identities, n<=5)", True, f"{elapsed:.1f}s")
     assert elapsed < 600

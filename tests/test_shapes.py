@@ -1,17 +1,36 @@
 import pytest
 
+from macchroma.graphs import attacking_data
 from macchroma.shapes import (
-    Diagram,
-    arm,
-    attacking_pairs,
     check_partition,
     conjugate,
-    down,
-    leg,
     n_stat,
     parse_partition,
     partitions_of,
 )
+
+
+def _cells(mu):
+    """French cells in reading order (top row first, left to right)."""
+    return [(row, col) for row in range(len(mu), 0, -1) for col in range(1, mu[row - 1] + 1)]
+
+
+def _oracle(mu):
+    """(G edges, G+ edges, down-edges with (arm, leg)) of mu, cell by cell
+    from the definitions: arm counts the cells to the right in the row, leg
+    the cells above in the column, and down(u) is the cell just below u."""
+    cells = _cells(mu)
+    label = {cell: v for v, cell in enumerate(cells, start=1)}
+    g = sorted((label[a], label[b]) for a in cells for b in cells
+               if label[a] < label[b] and (a[0] == b[0] or (a[0] == b[0] + 1 and a[1] > b[1])))
+    down = []
+    for row, col in cells:
+        below = (row - 1, col)
+        if below in label:
+            arm = sum(1 for r, c in cells if r == row and c > col)
+            leg = sum(1 for r, c in cells if c == col and r > row)
+            down.append(((label[row, col], label[below]), arm, leg))
+    return g, sorted(g + [edge for edge, _, _ in down]), down
 
 
 def test_partition_validation():
@@ -43,28 +62,36 @@ def test_partitions_of_order_and_counts():
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
 
+def test_attacking_data_matches_cell_oracle():
+    for n in range(9):
+        for mu in partitions_of(n):
+            d = attacking_data(mu)
+            g, g_plus, down = _oracle(mu)
+            assert d.g.n == d.g_plus.n == n, mu
+            assert list(d.g.edges) == g, mu
+            assert list(d.g_plus.edges) == g_plus, mu
+            assert list(d.down_edges) == down, mu
+
+
 def test_reading_order_labels():
-    d = Diagram((3, 2))
     # top row first: labels 1,2 on the row of length 2, then 3,4,5 below
-    assert d.cells_by_label == ((2, 1), (2, 2), (1, 1), (1, 2), (1, 3))
-    assert d.label_by_cell[(1, 3)] == 5
+    d = attacking_data((3, 2))
+    assert [edge for edge, _, _ in d.down_edges] == [(1, 3), (2, 4)]
+    assert {(1, 2), (3, 4), (3, 5), (4, 5)} <= set(d.g.edges)
 
 
 def test_arm_leg_down_reference_shape():
-    # shape (4,3,3,2); the marked cell sits in row 2 (from the bottom), column 2
-    mu = (4, 3, 3, 2)
-    u = (2, 2)
-    assert arm(mu, u) == 1
-    assert leg(mu, u) == 2
-    assert down(mu, u) == (1, 2)
+    # shape (4,3,3,2); the marked cell sits in row 2 (from the bottom),
+    # column 2: label 7 in reading order, above (1, 2) with label 10
+    d = attacking_data((4, 3, 3, 2))
+    assert ((7, 10), 1, 2) in d.down_edges
 
 
 def test_arm_leg_small_values():
-    d = Diagram((3, 2))
-    assert d.arm_by_label[1] == 1 and d.leg_by_label[1] == 0
-    assert down((3, 2), (1, 1)) is None
-    with pytest.raises(ValueError):
-        arm((3, 2), (2, 3))
+    d = attacking_data((3, 2))
+    assert d.down_edges[0] == ((1, 3), 1, 0)
+    # the bottom-row cells (labels 3, 4, 5) have nothing below them
+    assert all(u < 3 for (u, _), _, _ in d.down_edges)
 
 
 def test_n_stat():
@@ -73,28 +100,22 @@ def test_n_stat():
     assert n_stat(()) == 0
     for n in range(9):
         for lam in partitions_of(n):
-            d = Diagram(lam)
-            assert n_stat(lam) == sum(d.leg_by_label.values())
-
-
-def test_total_arm_equals_n_of_conjugate():
-    for n in range(9):
-        for mu in partitions_of(n):
-            d = Diagram(mu)
-            assert sum(d.arm_by_label.values()) == n_stat(conjugate(mu))
+            cells = _cells(lam)  # the total leg, cell by cell
+            assert n_stat(lam) == sum(1 for row, col in cells for r, c in cells
+                                      if c == col and r > row)
 
 
 def test_attacking_pairs_examples():
-    assert set(attacking_pairs((3, 2))) == {(1, 2), (2, 3), (3, 4), (3, 5), (4, 5)}
-    assert attacking_pairs((2, 1, 1)) == ((3, 4),)
-    assert attacking_pairs((1, 1)) == ()
+    assert set(attacking_data((3, 2)).g.edges) == {(1, 2), (2, 3), (3, 4), (3, 5), (4, 5)}
+    assert attacking_data((2, 1, 1)).g.edges == ((3, 4),)
+    assert attacking_data((1, 1)).g.edges == ()
 
 
 def test_attacking_pair_count_identity():
     for n in range(1, 9):
         for mu in partitions_of(n):
             expected = 2 * n_stat(conjugate(mu)) - mu[0] * (mu[0] - 1) // 2
-            pairs = attacking_pairs(mu)
+            pairs = attacking_data(mu).g.edges
             assert len(pairs) == expected
             assert len(set(pairs)) == len(pairs)
             assert all(u < v for u, v in pairs)
@@ -103,23 +124,17 @@ def test_attacking_pair_count_identity():
 def test_down_label_increases():
     for n in range(1, 8):
         for mu in partitions_of(n):
-            d = Diagram(mu)
-            for u, v in d.down_by_label.items():
+            for (u, v), _, _ in attacking_data(mu).down_edges:
                 assert v > u
 
 
-def test_caches_stay_within_their_bounds(monkeypatch):
+def test_caches_stay_within_their_bounds():
     from macchroma import chromatic, graphs, symfunc
 
-    # a bound small enough for the sweep to overflow, so eviction runs
-    monkeypatch.setattr(Diagram, "_CACHE_SIZE", 8)
-    monkeypatch.setattr(Diagram, "_cache", {})
     for n in range(10):
         for mu in partitions_of(n):
-            Diagram(mu)
             graphs.attacking_data(mu)
             chromatic._lambda_factors(mu)
-            assert len(Diagram._cache) <= Diagram._CACHE_SIZE
     for n in range(1, 10):
         symfunc.transition_table(n)
     for cache in (partitions_of, graphs.attacking_data, chromatic._lambda_factors,
