@@ -24,14 +24,15 @@ k added edges they leave monochromatic or ascending.  Every
 sandwich graph H = G + (a subset of the added edges) is then read off that
 census by ``from_census``: a coloring is H-proper iff no added edge of H is
 monochromatic, and its H-ascents are its G-ascents plus the ascending added
-edges of H.  ``x_g`` and ``llt_g`` are the case of no added edge.
-``jack.jack_chromatic`` folds the same census by its monochromatic-edge
-mask alone (``ColoringCensus.equal_mask_counts``).
+edges of H.  ``x_g`` and ``llt_g`` are the case of no added edge (for the
+empty graph, the one empty coloring).  ``jack.jack_chromatic`` folds the
+same census by its monochromatic-edge mask alone (``fold_equal_masks``).
 
-Every census read off by ``from_census`` is audited for symmetry over full
-exponent vectors before monomial coefficients are taken; an asymmetric
-result means the graph is outside the class the expansion theorems cover,
-and raises ``IdentityViolation``.
+Every census read off by ``from_census`` or ``fold_equal_masks`` is audited
+for symmetry over full exponent vectors before monomial coefficients are
+taken: every rearrangement of a content must carry the same counts.  An
+asymmetric result means the graph is outside the class the expansion
+theorems cover, and raises ``IdentityViolation``.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ __all__ = [
     "ColoringCensus",
     "coloring_census",
     "from_census",
+    "fold_equal_masks",
 ]
 
 
@@ -83,15 +85,6 @@ class ColoringCensus(NamedTuple):
     k: int
     proper: bool
     counts: dict
-
-    def equal_mask_counts(self, vec) -> dict[int, int]:
-        """{equal_mask: count} over the colorings with exponent vector vec."""
-        k = self.k
-        folded: dict[int, int] = {}
-        for key, count in self.counts.get(tuple(vec), {}).items():
-            equal = key >> k & ((1 << k) - 1)
-            folded[equal] = folded.get(equal, 0) + count
-        return folded
 
 
 def coloring_census(g: UGraph, added=(), proper: bool = True) -> ColoringCensus:
@@ -150,7 +143,7 @@ def _rearrangement_count(typ) -> int:
     return count
 
 
-def _audit_symmetry(census, n, what: str):
+def _audit_symmetry(census, what: str):
     groups: dict[tuple[int, ...], list] = {}
     for vec, hist in census.items():
         groups.setdefault(tuple(sorted(vec, reverse=True)), []).append(hist)
@@ -178,7 +171,7 @@ def from_census(census: ColoringCensus, mask: int = 0, with_t: bool = True) -> S
             hist[asc] = hist.get(asc, 0) + count
         if hist:
             hists[vec] = hist
-    _audit_symmetry(hists, n, "X_H" if census.proper else "LLT_G")
+    _audit_symmetry(hists, "X_H" if census.proper else "LLT_G")
 
     def coeff(hist):
         if with_t:
@@ -188,6 +181,20 @@ def from_census(census: ColoringCensus, mask: int = 0, with_t: bool = True) -> S
     return monomial_from_contents(hists, n, LaurentQT, coeff)
 
 
+def fold_equal_masks(census: ColoringCensus) -> dict:
+    """{exponent vector: {equal_mask: count}}: the census with its ascent
+    data folded away, audited for symmetry."""
+    k = census.k
+    folded = {}
+    for vec, counts in census.counts.items():
+        by_mask = folded[vec] = {}
+        for key, count in counts.items():
+            equal = key >> k & ((1 << k) - 1)
+            by_mask[equal] = by_mask.get(equal, 0) + count
+    _audit_symmetry(folded, "equal-mask census")
+    return folded
+
+
 def x_g(h: UGraph, with_t: bool = True) -> SymFunc:
     """Chromatic (quasi)symmetric function in the monomial basis.
 
@@ -195,16 +202,12 @@ def x_g(h: UGraph, with_t: bool = True) -> SymFunc:
     polynomial in t; without it every coloring counts 1.  This is
     ``from_census`` of h's own census, with no added edge.
     """
-    if h.n == 0:
-        return SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
     return from_census(coloring_census(h), with_t=with_t)
 
 
 def llt_g(h: UGraph) -> SymFunc:
     """Ascent generating function over all (not necessarily proper) colorings;
     ``from_census`` of h's all-colorings census, with no added edge."""
-    if h.n == 0:
-        return SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
     return from_census(coloring_census(h, proper=False))
 
 

@@ -146,9 +146,10 @@ def colorings(h: UGraph, palette: int, proper: bool = True):
 
     Backtracks over vertices 1..n, colors ascending, so the order is
     lexicographic.  An ascent is an edge {u,v} with u < v and color(u) <
-    color(v).
+    color(v).  The empty graph has one coloring, the empty one, with any
+    palette.
     """
-    if palette < 1:
+    if palette < 1 <= h.n:
         raise ValueError("palette must be at least 1")
     n = h.n
     prev_neighbors = [[]] + [sorted(w for w in h.neighbors(v) if w < v) for v in range(1, n + 1)]

@@ -10,9 +10,11 @@ weight is a product of hooks ``a*(leg+1) + arm`` attached to the upper cell
 of a down-edge.  As with the q,t case, the output index is the conjugate of
 the input diagram.
 
-The chromatic-sum route does its sum over sandwich graphs through one
-factor per down-edge: one coloring census of the attacking graph
-(``coloring_census``) counts colorings per content and per pattern of
+Each filling and chromatic route reads its per-down-edge weight products
+from one table by mask (``rings.mask_products``).  The chromatic-sum route
+does its sum over sandwich graphs through one factor per down-edge: one
+coloring census of the attacking graph (``coloring_census``), folded by
+``fold_equal_masks``, counts colorings per content and per pattern of
 monochromatic down-edges, and each pattern is weighted once.
 """
 
@@ -20,11 +22,11 @@ from __future__ import annotations
 
 # x_g is not called here; the name stays importable from jack because
 # perfbench's tracer self-tests check that every reference to it is wrapped
-from .chromatic import coloring_census, x_g  # noqa: F401
-from .graphs import IdentityViolation, UGraph, attacking_data, component_partition
+from .chromatic import coloring_census, fold_equal_masks, x_g  # noqa: F401
+from .graphs import UGraph, attacking_data, component_partition
 from .macdonald import _down_edge_places, ift_enumerate, non_attacking_fillings
-from .rings import AlphaPoly
-from .shapes import check_partition, partitions_of
+from .rings import AlphaPoly, mask_products
+from .shapes import check_partition
 from .symfunc import SymFunc, monomial_from_contents
 
 
@@ -37,17 +39,10 @@ def jack_knop_sahi(mu) -> SymFunc:
     """Knop-Sahi filling formula, monomial basis."""
     mu = check_partition(mu)
     n = sum(mu)
-    if n == 0:
-        return SymFunc(0, "monomial", {(): AlphaPoly.one()}, AlphaPoly)
-    data = attacking_data(mu)
-    k = len(data.down_edges)
-    one_plus_hook = [
-        AlphaPoly.one() + hook_alpha(arm_u, leg_u) for (_, arm_u, leg_u) in data.down_edges
-    ]
-    weight_by_mask = [AlphaPoly.one()] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = (mask & -mask).bit_length() - 1
-        weight_by_mask[mask] = weight_by_mask[mask ^ (1 << low)] * one_plus_hook[low]
+    weight_by_mask = mask_products(AlphaPoly.one(), [
+        (AlphaPoly.one(), AlphaPoly.one() + hook_alpha(arm_u, leg_u))
+        for (_, arm_u, leg_u) in attacking_data(mu).down_edges
+    ])
 
     buckets: dict[tuple[int, ...], AlphaPoly] = {}
     for values, _maj, _inv, _arm_des, mask in non_attacking_fillings(mu):
@@ -72,38 +67,21 @@ def jack_chromatic(mu) -> SymFunc:
     gives each G-proper coloring the weight prod_i f_i, with f_i = out_i
     when added edge i is monochromatic and f_i = out_i + in_i otherwise.
     One coloring census of G counts the colorings per content and per
-    monochromatic-edge mask, so each mask is weighted once.  Only dominant
-    contents are read; each must match its reversed content, as the
-    symmetry of X_H requires, or ``IdentityViolation`` is raised.
+    monochromatic-edge mask (``fold_equal_masks``, which also audits the
+    census for symmetry), so each mask is weighted once.
     """
     mu = check_partition(mu)
-    n = sum(mu)
-    if n == 0:
-        return SymFunc(0, "monomial", {(): AlphaPoly.one()}, AlphaPoly)
     data = attacking_data(mu)
     hooks = [hook_alpha(arm_u, leg_u) for (_, arm_u, leg_u) in data.down_edges]
-    in_factor = [-hook for hook in hooks]
-    out_factor = [AlphaPoly.one() + hook for hook in hooks]
-    either = [out + inn for out, inn in zip(out_factor, in_factor)]
-    census = coloring_census(data.g, [edge for edge, _, _ in data.down_edges])
-    weight_of: dict[int, AlphaPoly] = {}
-    coeffs = {}
-    for lam in partitions_of(n):
-        vec = lam + (0,) * (n - len(lam))
-        folded = census.equal_mask_counts(vec)
-        if folded != census.equal_mask_counts(vec[::-1]):
-            raise IdentityViolation(f"chromatic sum of {mu} not symmetric (content {vec})")
-        total = AlphaPoly.zero()
-        for mask, count in folded.items():
-            weight = weight_of.get(mask)
-            if weight is None:
-                weight = AlphaPoly.one()
-                for i in range(census.k):
-                    weight = weight * (out_factor[i] if mask >> i & 1 else either[i])
-                weight_of[mask] = weight
-            total = total + weight.scale(count)
-        coeffs[lam] = total
-    return SymFunc(n, "monomial", coeffs, AlphaPoly)
+    weight_by_mask = mask_products(AlphaPoly.one(), [
+        ((AlphaPoly.one() + hook) + -hook, AlphaPoly.one() + hook) for hook in hooks
+    ])
+    by_content = fold_equal_masks(coloring_census(data.g, [edge for edge, _, _ in data.down_edges]))
+
+    def coeff(by_mask):
+        return sum((weight_by_mask[mask].scale(count) for mask, count in by_mask.items()), AlphaPoly.zero())
+
+    return monomial_from_contents(by_content, sum(mu), AlphaPoly, coeff)
 
 
 def wt_alpha(mu, rows) -> AlphaPoly:
@@ -124,14 +102,11 @@ def wt_alpha(mu, rows) -> AlphaPoly:
 def jack_schur(mu) -> SymFunc:
     """Integral form tableau formula, Schur basis."""
     mu = check_partition(mu)
-    n = sum(mu)
-    if n == 0:
-        return SymFunc(0, "schur", {(): AlphaPoly.one()}, AlphaPoly)
     coeffs: dict[tuple[int, ...], AlphaPoly] = {}
     for lam, rows in ift_enumerate(mu):
         w = wt_alpha(mu, rows)
         coeffs[lam] = coeffs.get(lam, AlphaPoly.zero()) + w
-    return SymFunc(n, "schur", coeffs, AlphaPoly)
+    return SymFunc(sum(mu), "schur", coeffs, AlphaPoly)
 
 
 def jack_power(mu) -> SymFunc:
@@ -145,8 +120,6 @@ def jack_power(mu) -> SymFunc:
     """
     mu = check_partition(mu)
     n = sum(mu)
-    if n == 0:
-        return SymFunc(0, "power", {(): AlphaPoly.one()}, AlphaPoly)
     data = attacking_data(mu)
     hooks = {edge: hook_alpha(arm_u, leg_u) for edge, arm_u, leg_u in data.down_edges}
     g_edges = data.g.edge_set()

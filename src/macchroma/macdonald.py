@@ -34,7 +34,7 @@ from .chromatic import (
     x_g,
 )
 from .graphs import attacking_data, colorings, sandwich_graphs
-from .rings import LaurentQT
+from .rings import LaurentQT, mask_products
 from .shapes import check_partition, conjugate, n_stat, partitions_of
 from .symfunc import SymFunc, monomial_from_contents, omega, z_of
 
@@ -53,10 +53,8 @@ def _one_minus_qt(q_exp: int, t_exp: int) -> LaurentQT:
 def prefactor(mu) -> LaurentQT:
     """t^(-n(mu') + C(mu_1, 2)) * (1 - t)^mu_1."""
     mu = check_partition(mu)
-    if not mu:
-        return LaurentQT.one()
-    nz = n_stat(conjugate(mu))
-    return LaurentQT.term(1, 0, -nz + _binom2(mu[0])) * ONE_MINUS_T ** mu[0]
+    mu1 = max(mu, default=0)
+    return LaurentQT.term(1, 0, -n_stat(conjugate(mu)) + _binom2(mu1)) * ONE_MINUS_T ** mu1
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +78,6 @@ def non_attacking_fillings(mu):
     """
     mu = check_partition(mu)
     n = sum(mu)
-    if n == 0:
-        yield (), 0, 0, 0, 0
-        return
     data = attacking_data(mu)
     pairs = len(data.g.edges)
     down = [(u - 1, v - 1, leg + 1, arm, 1 << i)
@@ -99,23 +94,16 @@ def non_attacking_fillings(mu):
 
 
 def j_hhl(mu) -> SymFunc:
-    """Haglund-Haiman-Loehr filling formula, monomial basis."""
+    """Haglund-Haiman-Loehr filling formula, monomial basis.  A cell weighs
+    1 - t, or 1 - q^(leg+1) t^(arm+1) if it equals the cell below it."""
     mu = check_partition(mu)
     n = sum(mu)
-    if n == 0:
-        return SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
     data = attacking_data(mu)
     nz = n_stat(conjugate(mu))
-    k = len(data.down_edges)
-    equal_factor = [_one_minus_qt(leg + 1, arm + 1) for (_, arm, leg) in data.down_edges]
-    one_minus_t_pow = [ONE_MINUS_T**i for i in range(n + 1)]
-    pure = [LaurentQT.one()] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = (mask & -mask).bit_length() - 1
-        pure[mask] = pure[mask ^ (1 << low)] * equal_factor[low]
-    weight_by_mask = [
-        pure[mask] * one_minus_t_pow[n - bin(mask).count("1")] for mask in range(1 << k)
-    ]
+    weight_by_mask = mask_products(
+        ONE_MINUS_T ** (n - len(data.down_edges)),
+        [(ONE_MINUS_T, _one_minus_qt(leg + 1, arm + 1)) for (_, arm, leg) in data.down_edges],
+    )
 
     buckets: dict[tuple[int, ...], dict[tuple[int, int], Fraction]] = {}
     for values, maj, inv, arm_des, mask in non_attacking_fillings(mu):
@@ -137,18 +125,13 @@ def j_hhl(mu) -> SymFunc:
 def j_chromatic(mu) -> SymFunc:
     """Chromatic-sum formula over sandwich graphs, monomial basis."""
     mu = check_partition(mu)
-    n = sum(mu)
-    if n == 0:
-        return SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
     data = attacking_data(mu)
-    in_factor = [-_one_minus_qt(leg + 1, arm) for (_, arm, leg) in data.down_edges]
-    out_factor = [_one_minus_qt(leg + 1, arm + 1) for (_, arm, leg) in data.down_edges]
-    k = len(data.down_edges)
-    total = SymFunc(n, "monomial", {}, LaurentQT)
-    for mask, h in enumerate(sandwich_graphs(data)):
-        weight = LaurentQT.one()
-        for i in range(k):
-            weight = weight * (in_factor[i] if mask >> i & 1 else out_factor[i])
+    weights = mask_products(LaurentQT.one(), [
+        (_one_minus_qt(leg + 1, arm + 1), -_one_minus_qt(leg + 1, arm))
+        for (_, arm, leg) in data.down_edges
+    ])
+    total = SymFunc(sum(mu), "monomial", {}, LaurentQT)
+    for weight, h in zip(weights, sandwich_graphs(data)):
         total = total + x_g(h, with_t=True).mul_coeff(weight)
     result = total.mul_coeff(prefactor(mu))
     for lam, c in result.coeffs.items():
@@ -223,15 +206,12 @@ def wt_mu(mu, rows) -> LaurentQT:
 def j_schur(mu) -> SymFunc:
     """Integral form tableau formula, Schur basis."""
     mu = check_partition(mu)
-    n = sum(mu)
-    if n == 0:
-        return SymFunc(0, "schur", {(): LaurentQT.one()}, LaurentQT)
-    scale = ONE_MINUS_T ** mu[0]
+    scale = ONE_MINUS_T ** max(mu, default=0)
     coeffs: dict[tuple[int, ...], LaurentQT] = {}
     for lam, rows in ift_enumerate(mu):
         w = wt_mu(mu, rows)
         coeffs[lam] = coeffs.get(lam, LaurentQT.zero()) + w
-    return SymFunc(n, "schur", {lam: c * scale for lam, c in coeffs.items()}, LaurentQT)
+    return SymFunc(sum(mu), "schur", {lam: c * scale for lam, c in coeffs.items()}, LaurentQT)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +262,6 @@ def j_power(mu) -> SymFunc:
     """Block permutation formula, power basis (returns J itself, not omega J)."""
     mu = check_partition(mu)
     n = sum(mu)
-    if n == 0:
-        return SymFunc(0, "power", {(): LaurentQT.one()}, LaurentQT)
     data = attacking_data(mu)
     pref = prefactor(mu)
     coeffs = {}

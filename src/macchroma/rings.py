@@ -16,6 +16,9 @@ body and read the variables off the class.  Values are immutable after
 construction and safe to share across threads.  Canonical printing orders
 terms by ascending exponent tuple (q before t), so string output is
 deterministic.
+
+``mask_products`` is the one table of per-down-edge weight products by
+subset mask that the filling and chromatic routes read.
 """
 
 from __future__ import annotations
@@ -374,3 +377,12 @@ class AlphaPoly(LaurentQT):
         """Evaluate at a rational value of the parameter."""
         value = _as_fraction(value)
         return sum((c * value**e for (e,), c in self._terms.items()), _ZERO)
+
+
+def mask_products(one, pairs) -> list:
+    """The products ``one * prod_i (set_i if bit i of mask else clear_i)``
+    over the (clear_i, set_i) ``pairs``, listed by mask = 0 .. 2^k - 1."""
+    table = [one]
+    for clear, chosen in pairs:
+        table = [value * clear for value in table] + [value * chosen for value in table]
+    return table

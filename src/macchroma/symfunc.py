@@ -55,9 +55,6 @@ class SymFunc:
     def get(self, lam):
         return self.coeffs.get(tuple(lam), self.ring.zero())
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SymFunc)
@@ -75,15 +72,9 @@ class SymFunc:
             acc[lam] = acc.get(lam, self.ring.zero()) + c
         return SymFunc(self.degree, self.basis, acc, self.ring)
 
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + other.scale_coeffs(Fraction(-1))
-
     def mul_coeff(self, c) -> "SymFunc":
         """Multiply every coefficient by a fixed ring element."""
         return SymFunc(self.degree, self.basis, {lam: v * c for lam, v in self.coeffs.items()}, self.ring)
-
-    def scale_coeffs(self, scalar: Fraction) -> "SymFunc":
-        return SymFunc(self.degree, self.basis, {lam: v.scale(scalar) for lam, v in self.coeffs.items()}, self.ring)
 
     def map_coeffs(self, fn, ring=None) -> "SymFunc":
         return SymFunc(self.degree, self.basis, {lam: fn(v) for lam, v in self.coeffs.items()}, ring or self.ring)

@@ -38,6 +38,11 @@ def test_x_g_empty_graph():
     assert f.coeffs == {(2,): LaurentQT.one(), (1, 1): LaurentQT.from_int(2)}
 
 
+def test_x_g_and_llt_g_of_the_graph_on_no_vertices_are_one():
+    one = SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
+    assert x_g(UGraph(0)) == x_g(UGraph(0), with_t=False) == llt_g(UGraph(0)) == one
+
+
 def test_x_g_single_edge():
     f = x_g(UGraph(2, [(1, 2)]))
     assert f.coeffs == {(1, 1): P("1 + t")}

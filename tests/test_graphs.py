@@ -99,6 +99,14 @@ def test_proper_colorings_basic():
         next(colorings(g, 0))
 
 
+def test_empty_graph_has_one_empty_coloring():
+    for palette in (0, 1, 3):
+        assert list(colorings(UGraph(0), palette)) == [((), 0)]
+        assert list(colorings(UGraph(0), palette, proper=False)) == [((), 0)]
+    with pytest.raises(ValueError):
+        next(colorings(UGraph(1), 0))
+
+
 def test_all_colorings():
     g = UGraph(2, [(1, 2)])
     assert list(colorings(g, 2, proper=False)) == [

@@ -124,6 +124,24 @@ def test_jack_chromatic_checks_reversed_contents(monkeypatch):
         jack_chromatic((2, 1))
 
 
+def test_jack_chromatic_audits_every_rearrangement(monkeypatch):
+    import macchroma.jack as jack
+
+    def lopsided(g, added):
+        # one coloring fewer on content (1, 2, 0): neither dominant nor the
+        # reverse of a dominant content, so only a full rearrangement audit
+        # sees it
+        census = coloring_census(g, added)
+        counts = {vec: dict(keys) for vec, keys in census.counts.items()}
+        key = next(iter(counts[(1, 2, 0)]))
+        counts[(1, 2, 0)][key] -= 1
+        return census._replace(counts=counts)
+
+    monkeypatch.setattr(jack, "coloring_census", lopsided)
+    with pytest.raises(IdentityViolation):
+        jack_chromatic((2, 1))
+
+
 def test_four_way_equality_small():
     for n in range(1, 6):
         for mu in partitions_of(n):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from macchroma.rings import AlphaPoly, InexactDivision, LaurentQT, NonInvertible
+from macchroma.rings import AlphaPoly, InexactDivision, LaurentQT, NonInvertible, mask_products
 
 P = LaurentQT.parse
 A = AlphaPoly.parse
@@ -15,6 +15,31 @@ def random_laurent(rng, max_terms=4, span=5):
         key = (rng.randint(-span, span), rng.randint(-span, span))
         terms[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return LaurentQT(terms)
+
+
+def random_alpha(rng, max_terms=3, span=4):
+    return AlphaPoly({(rng.randint(0, span),): rng.randint(-9, 9) for _ in range(rng.randint(1, max_terms))})
+
+
+def _nonzero(make, rng):
+    while (p := make(rng)).is_zero():
+        pass
+    return p
+
+
+def test_mask_products_against_direct_products():
+    rng = random.Random(1515)
+    for make in (random_laurent, random_alpha):
+        for k in range(6):
+            one = _nonzero(make, rng)
+            pairs = [(_nonzero(make, rng), _nonzero(make, rng)) for _ in range(k)]
+            table = mask_products(one, pairs)
+            assert len(table) == 1 << k
+            for mask, value in enumerate(table):
+                direct = one
+                for i, (clear, chosen) in enumerate(pairs):
+                    direct = direct * (chosen if mask >> i & 1 else clear)
+                assert value == direct, (make.__name__, k, mask)
 
 
 def test_basic_products():

@@ -73,25 +73,11 @@ def test_attacking_data_matches_cell_oracle():
             assert list(d.down_edges) == down, mu
 
 
-def test_reading_order_labels():
-    # top row first: labels 1,2 on the row of length 2, then 3,4,5 below
-    d = attacking_data((3, 2))
-    assert [edge for edge, _, _ in d.down_edges] == [(1, 3), (2, 4)]
-    assert {(1, 2), (3, 4), (3, 5), (4, 5)} <= set(d.g.edges)
-
-
 def test_arm_leg_down_reference_shape():
     # shape (4,3,3,2); the marked cell sits in row 2 (from the bottom),
     # column 2: label 7 in reading order, above (1, 2) with label 10
     d = attacking_data((4, 3, 3, 2))
     assert ((7, 10), 1, 2) in d.down_edges
-
-
-def test_arm_leg_small_values():
-    d = attacking_data((3, 2))
-    assert d.down_edges[0] == ((1, 3), 1, 0)
-    # the bottom-row cells (labels 3, 4, 5) have nothing below them
-    assert all(u < 3 for (u, _), _, _ in d.down_edges)
 
 
 def test_n_stat():
@@ -103,29 +89,6 @@ def test_n_stat():
             cells = _cells(lam)  # the total leg, cell by cell
             assert n_stat(lam) == sum(1 for row, col in cells for r, c in cells
                                       if c == col and r > row)
-
-
-def test_attacking_pairs_examples():
-    assert set(attacking_data((3, 2)).g.edges) == {(1, 2), (2, 3), (3, 4), (3, 5), (4, 5)}
-    assert attacking_data((2, 1, 1)).g.edges == ((3, 4),)
-    assert attacking_data((1, 1)).g.edges == ()
-
-
-def test_attacking_pair_count_identity():
-    for n in range(1, 9):
-        for mu in partitions_of(n):
-            expected = 2 * n_stat(conjugate(mu)) - mu[0] * (mu[0] - 1) // 2
-            pairs = attacking_data(mu).g.edges
-            assert len(pairs) == expected
-            assert len(set(pairs)) == len(pairs)
-            assert all(u < v for u, v in pairs)
-
-
-def test_down_label_increases():
-    for n in range(1, 8):
-        for mu in partitions_of(n):
-            for (u, v), _, _ in attacking_data(mu).down_edges:
-                assert v > u
 
 
 def test_caches_stay_within_their_bounds():
