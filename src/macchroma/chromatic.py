@@ -24,15 +24,16 @@ k added edges they leave monochromatic or ascending.  Every
 sandwich graph H = G + (a subset of the added edges) is then read off that
 census by ``from_census``: a coloring is H-proper iff no added edge of H is
 monochromatic, and its H-ascents are its G-ascents plus the ascending added
-edges of H.  ``x_g`` and ``llt_g`` are the case of no added edge (for the
-empty graph, the one empty coloring).  ``jack.jack_chromatic`` folds the
-same census by its monochromatic-edge mask alone (``fold_equal_masks``).
+edges of H.  ``from_census`` is the one reader of a census: ``x_g`` and
+``llt_g`` are the case of no added edge (for the empty graph, the one empty
+coloring), and ``with_t=False`` reads X_H(x; 1), which
+``jack.jack_chromatic`` sums over the sandwich graphs.
 
-Every census read off by ``from_census`` or ``fold_equal_masks`` is audited
-for symmetry over full exponent vectors before monomial coefficients are
-taken: every rearrangement of a content must carry the same counts.  An
-asymmetric result means the graph is outside the class the expansion
-theorems cover, and raises ``IdentityViolation``.
+Every sandwich graph read off by ``from_census`` is audited for symmetry
+over full exponent vectors before monomial coefficients are taken: every
+rearrangement of a content must carry the same counts.  An asymmetric
+result means the graph is outside the class the expansion theorems cover,
+and raises ``IdentityViolation``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
     "ColoringCensus",
     "coloring_census",
     "from_census",
-    "fold_equal_masks",
 ]
 
 
@@ -95,20 +95,9 @@ def coloring_census(g: UGraph, added=(), proper: bool = True) -> ColoringCensus:
     """
     n = g.n
     k = len(added)
-    edges = []
-    seen = set()
-    for i, (u, v) in enumerate(added):
-        if u == v:
-            raise ValueError(f"added edge ({u},{v}) is a loop")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"added edge ({u},{v}) outside vertex range 1..{n}")
-        u, v = min(u, v), max(u, v)
-        if (u, v) in seen:
-            raise ValueError(f"added edge ({u},{v}) listed twice")
-        if g.has_edge(u, v):
-            raise ValueError(f"added edge ({u},{v}) is already an edge of the graph")
-        seen.add((u, v))
-        edges.append((u - 1, v - 1, 1 << (k + i), 1 << i))
+    if len(g.with_edges(added).edges) != len(g.edges) + k:  # loops and range raise there
+        raise ValueError(f"added edges {list(added)} are not {k} distinct new edges of the graph")
+    edges = [(min(u, v) - 1, max(u, v) - 1, 1 << (k + i), 1 << i) for i, (u, v) in enumerate(added)]
     # one int per coloring: its exponent vector (n.bit_length() bits per
     # color) above its key, unpacked once per distinct value at the end
     low = 2 * k + len(g.edges).bit_length()
@@ -156,7 +145,8 @@ def _audit_symmetry(census, what: str):
 def from_census(census: ColoringCensus, mask: int = 0, with_t: bool = True) -> SymFunc:
     """X_H (a proper census) or LLT_H (an all-colorings census) in the
     monomial basis, for H = G plus the added edges whose bits are set in
-    ``mask``; ``with_t`` as in ``x_g``."""
+    ``mask``.  With ``with_t`` each coefficient is the ascent generating
+    polynomial in t; without it every coloring counts 1 (t = 1)."""
     n, k = census.n, census.k
     if not 0 <= mask < 1 << k:
         raise ValueError(f"mask {mask} selects edges beyond the {k} added ones")
@@ -181,28 +171,13 @@ def from_census(census: ColoringCensus, mask: int = 0, with_t: bool = True) -> S
     return monomial_from_contents(hists, n, LaurentQT, coeff)
 
 
-def fold_equal_masks(census: ColoringCensus) -> dict:
-    """{exponent vector: {equal_mask: count}}: the census with its ascent
-    data folded away, audited for symmetry."""
-    k = census.k
-    folded = {}
-    for vec, counts in census.counts.items():
-        by_mask = folded[vec] = {}
-        for key, count in counts.items():
-            equal = key >> k & ((1 << k) - 1)
-            by_mask[equal] = by_mask.get(equal, 0) + count
-    _audit_symmetry(folded, "equal-mask census")
-    return folded
-
-
-def x_g(h: UGraph, with_t: bool = True) -> SymFunc:
-    """Chromatic (quasi)symmetric function in the monomial basis.
-
-    With ``with_t`` the coefficient of each monomial is the ascent generating
-    polynomial in t; without it every coloring counts 1.  This is
-    ``from_census`` of h's own census, with no added edge.
+def x_g(h: UGraph) -> SymFunc:
+    """Chromatic quasisymmetric function X_H(x; t) in the monomial basis:
+    each monomial's coefficient is the ascent generating polynomial in t
+    of its proper colorings.  This is ``from_census`` of h's own census,
+    with no added edge; ``from_census(..., with_t=False)`` gives X_H(x; 1).
     """
-    return from_census(coloring_census(h), with_t=with_t)
+    return from_census(coloring_census(h))
 
 
 def llt_g(h: UGraph) -> SymFunc:
@@ -215,8 +190,9 @@ def llt_g(h: UGraph) -> SymFunc:
 # Graph tableaux and the Schur expansion
 # ---------------------------------------------------------------------------
 
-def graph_tableaux(shape, n: int, horiz: UGraph, vert: UGraph):
-    """Yield bijective fillings of a French shape under graph constraints.
+def graph_tableaux(shape, horiz: UGraph, vert: UGraph):
+    """Yield the fillings of a French shape by 1..n, n = sum(shape), each
+    value once, under graph constraints.
 
     Rows increase left to right; horizontally adjacent entries must not be an
     edge of ``horiz``; for ``u`` directly above ``v``, either u > v or {u,v}
@@ -224,8 +200,7 @@ def graph_tableaux(shape, n: int, horiz: UGraph, vert: UGraph):
     right, trying values in ascending order, so the output order is fixed.
     """
     shape = tuple(shape)
-    if sum(shape) != n:
-        raise ValueError("shape size must equal n")
+    n = sum(shape)
     rows = [[0] * width for width in shape]
     used = [False] * (n + 1)
     cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
@@ -270,7 +245,7 @@ def x_g_schur(h: UGraph) -> SymFunc:
     coeffs = {}
     for lam in partitions_of(n):
         total = LaurentQT.zero()
-        for rows in graph_tableaux(lam, n, h, h):
+        for rows in graph_tableaux(lam, h, h):
             total = total + LaurentQT.term(1, 0, tableau_inv(rows, h))
         if not total.is_zero():
             coeffs[lam] = total

@@ -138,9 +138,7 @@ def main(argv=None) -> int:
             _emit(f, args.format)
             return 0
         if args.command == "chromatic":
-            mu = parse_partition(args.mu)
-            if not mu:
-                raise ValueError("mu must have at least one part")
+            mu = _resolve_mu(args)
             h = _select_graph(mu, args.graph)
             if args.llt:
                 f = convert(llt_g(h), args.basis)

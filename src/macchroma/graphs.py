@@ -93,7 +93,7 @@ class AttackingData:
         g_plus = g.with_edges(edge for edge, _, _ in down_edges)
         if not g.edge_set() <= g_plus.edge_set():
             raise IdentityViolation(f"attacking graph of {mu} is not inside its augmentation")
-        if len(g_plus.edges) - len(g.edges) != n - (mu[0] if mu else 0):
+        if len(g_plus.edges) - len(g.edges) != n - max(mu, default=0):
             raise IdentityViolation(f"augmented attacking graph of {mu} lacks a down-edge")
         if not (is_claw_free(g) and is_claw_free(g_plus)):
             raise IdentityViolation(f"attacking graphs of {mu} must be claw-free")

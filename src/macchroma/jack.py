@@ -12,17 +12,18 @@ the input diagram.
 
 Each filling and chromatic route reads its per-down-edge weight products
 from one table by mask (``rings.mask_products``).  The chromatic-sum route
-does its sum over sandwich graphs through one factor per down-edge: one
-coloring census of the attacking graph (``coloring_census``), folded by
-``fold_equal_masks``, counts colorings per content and per pattern of
-monochromatic down-edges, and each pattern is weighted once.
+is the paper's sum over the sandwich graphs G <= H <= G+: one coloring
+census of the attacking graph (``coloring_census``) is read once per H by
+``from_census`` at t = 1, and each X_H(x; 1) is weighted by its mask's
+product of the unsimplified (out_i, in_i) factors.  No factor is summed in
+advance, so this route's weight table is not the Knop-Sahi route's.
 """
 
 from __future__ import annotations
 
 # x_g is not called here; the name stays importable from jack because
 # perfbench's tracer self-tests check that every reference to it is wrapped
-from .chromatic import coloring_census, fold_equal_masks, x_g  # noqa: F401
+from .chromatic import coloring_census, from_census, x_g  # noqa: F401
 from .graphs import UGraph, attacking_data, component_partition
 from .macdonald import _down_edge_places, ift_enumerate, non_attacking_fillings
 from .rings import AlphaPoly, mask_products
@@ -62,26 +63,19 @@ def jack_chromatic(mu) -> SymFunc:
     The formula sums w(H) X_H(x; 1) over the sandwich graphs G <= H <= G+,
     where G is the attacking graph, added edge i is the down-edge of a cell
     with hook h_i, and w(H) = prod over added edges of in_i = -h_i (edge in
-    H) or out_i = 1 + h_i (not).  A G-proper coloring is H-proper iff no
-    added edge of H is monochromatic under it, so summing over H first
-    gives each G-proper coloring the weight prod_i f_i, with f_i = out_i
-    when added edge i is monochromatic and f_i = out_i + in_i otherwise.
-    One coloring census of G counts the colorings per content and per
-    monochromatic-edge mask (``fold_equal_masks``, which also audits the
-    census for symmetry), so each mask is weighted once.
+    H) or out_i = 1 + h_i (not).  Every X_H is read off one coloring census
+    of G (``from_census``, which audits each H for symmetry).
     """
     mu = check_partition(mu)
     data = attacking_data(mu)
     hooks = [hook_alpha(arm_u, leg_u) for (_, arm_u, leg_u) in data.down_edges]
-    weight_by_mask = mask_products(AlphaPoly.one(), [
-        ((AlphaPoly.one() + hook) + -hook, AlphaPoly.one() + hook) for hook in hooks
-    ])
-    by_content = fold_equal_masks(coloring_census(data.g, [edge for edge, _, _ in data.down_edges]))
-
-    def coeff(by_mask):
-        return sum((weight_by_mask[mask].scale(count) for mask, count in by_mask.items()), AlphaPoly.zero())
-
-    return monomial_from_contents(by_content, sum(mu), AlphaPoly, coeff)
+    weights = mask_products(AlphaPoly.one(), [(AlphaPoly.one() + hook, -hook) for hook in hooks])
+    census = coloring_census(data.g, [edge for edge, _, _ in data.down_edges])
+    total = SymFunc(sum(mu), "monomial", {}, AlphaPoly)
+    for mask, weight in enumerate(weights):
+        x_at_one = from_census(census, mask, with_t=False)
+        total = total + x_at_one.map_coeffs(lambda c: weight.scale(c.terms[(0, 0)]), AlphaPoly)
+    return total
 
 
 def wt_alpha(mu, rows) -> AlphaPoly:

@@ -132,7 +132,7 @@ def j_chromatic(mu) -> SymFunc:
     ])
     total = SymFunc(sum(mu), "monomial", {}, LaurentQT)
     for weight, h in zip(weights, sandwich_graphs(data)):
-        total = total + x_g(h, with_t=True).mul_coeff(weight)
+        total = total + x_g(h).mul_coeff(weight)
     result = total.mul_coeff(prefactor(mu))
     for lam, c in result.coeffs.items():
         if c.has_negative_exponents():
@@ -153,7 +153,7 @@ def ift_enumerate(mu):
     n = sum(mu)
     data = attacking_data(mu)
     for lam in partitions_of(n):
-        for rows in graph_tableaux(lam, n, data.g, data.g_plus):
+        for rows in graph_tableaux(lam, data.g, data.g_plus):
             yield lam, rows
 
 

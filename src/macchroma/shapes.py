@@ -39,9 +39,7 @@ def parse_partition(text: str) -> tuple[int, ...]:
 def conjugate(mu) -> tuple[int, ...]:
     """Transpose of a partition: conjugate(mu)[i] = #{j : mu_j >= i+1}."""
     mu = tuple(mu)
-    if not mu:
-        return ()
-    return tuple(sum(1 for p in mu if p >= i) for i in range(1, mu[0] + 1))
+    return tuple(sum(1 for p in mu if p >= i) for i in range(1, max(mu, default=0) + 1))
 
 
 def n_stat(lam) -> int:

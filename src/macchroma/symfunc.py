@@ -136,8 +136,6 @@ def kostka(lam, mu) -> int:
     lam, mu = tuple(lam), tuple(mu)
     if sum(lam) != sum(mu):
         raise ValueError("shape and content must have equal size")
-    if not lam:
-        return 1
     remaining = list(mu)
     nvals = len(mu)
     rows = [[0] * width for width in lam]

@@ -201,7 +201,7 @@ def test_criterion_5_chromatic_cross_checks():
         for mu in partitions_of(n):
             for h in sandwich_graphs(attacking_data(mu)):
                 assert is_claw_free(h), (mu, h.edges)
-                f = x_g(h, with_t=True)  # raises on any symmetry violation
+                f = x_g(h)  # raises on any symmetry violation
                 assert x_g_schur(h) == convert(f, "schur"), (mu, h.edges)
                 assert omega(x_g_power(h)) == convert(f, "power"), (mu, h.edges)
     elapsed = time.perf_counter() - start

@@ -40,13 +40,14 @@ def test_x_g_empty_graph():
 
 def test_x_g_and_llt_g_of_the_graph_on_no_vertices_are_one():
     one = SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
-    assert x_g(UGraph(0)) == x_g(UGraph(0), with_t=False) == llt_g(UGraph(0)) == one
+    at_one = from_census(coloring_census(UGraph(0)), with_t=False)
+    assert x_g(UGraph(0)) == at_one == llt_g(UGraph(0)) == one
 
 
 def test_x_g_single_edge():
     f = x_g(UGraph(2, [(1, 2)]))
     assert f.coeffs == {(1, 1): P("1 + t")}
-    flat = x_g(UGraph(2, [(1, 2)]), with_t=False)
+    flat = from_census(coloring_census(UGraph(2, [(1, 2)])), with_t=False)
     assert flat.coeffs == {(1, 1): LaurentQT.from_int(2)}
 
 
@@ -276,8 +277,8 @@ def test_x_g_with_t_specializes_to_plain():
     for mu in partitions_of(4):
         data = attacking_data(mu)
         for h in sandwich_graphs(data):
-            weighted = x_g(h, with_t=True)
-            plain = x_g(h, with_t=False)
+            weighted = x_g(h)
+            plain = from_census(coloring_census(h), with_t=False)
             assert weighted.map_coeffs(lambda c: c.substitute_t(1, 0)) == plain
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from macchroma.chromatic import IdentityViolation, coloring_census, x_g
+from macchroma.chromatic import IdentityViolation, coloring_census, from_census
 from macchroma.graphs import attacking_data
 from macchroma.jack import (
     hook_alpha,
@@ -87,7 +87,7 @@ def _jack_chromatic_by_sandwich_graphs(mu):
         weight = AlphaPoly.one()
         for i in range(k):
             weight = weight * (-hooks[i] if mask >> i & 1 else AlphaPoly.one() + hooks[i])
-        counts = x_g(h, with_t=False)
+        counts = from_census(coloring_census(h), with_t=False)
         total = total + SymFunc(n, "monomial", {
             lam: weight.scale(_constant_value(c)) for lam, c in counts.coeffs.items()
         }, AlphaPoly)
@@ -140,6 +140,20 @@ def test_jack_chromatic_audits_every_rearrangement(monkeypatch):
     monkeypatch.setattr(jack, "coloring_census", lopsided)
     with pytest.raises(IdentityViolation):
         jack_chromatic((2, 1))
+
+
+def test_jack_chromatic_is_independent_of_the_knop_sahi_table(monkeypatch):
+    import macchroma.jack as jack
+
+    real = jack.mask_products
+
+    def swapped(one, pairs):
+        # the same slip in both routes' tables: clear and set exchanged
+        return real(one, [(chosen, clear) for clear, chosen in pairs])
+
+    monkeypatch.setattr(jack, "mask_products", swapped)
+    for mu in [(1, 1), (2, 1), (1, 1, 1), (2, 2)]:
+        assert jack_chromatic(mu) != jack_knop_sahi(mu), mu
 
 
 def test_four_way_equality_small():
