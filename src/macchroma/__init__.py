@@ -32,7 +32,7 @@ from .macdonald import (
     wt_mu,
     wt_p,
 )
-from .rings import AlphaPoly, InexactDivision, LaurentQT, NonInvertible
+from .rings import AlphaPoly, InexactDivision, LaurentQT
 from .shapes import (
     conjugate,
     n_stat,
@@ -44,7 +44,6 @@ from .symfunc import (
     convert,
     kostka,
     omega,
-    schur_positive,
     z_of,
 )
 from .verify import VerifyReport, run_conjecture, run_suite, run_suites

@@ -8,12 +8,13 @@ Expansion routes implemented here:
 * power sum basis through block permutations free of graph descents and of
   nontrivial left-to-right graph maxima (``x_g_power``).
 
-The block permutation sets N_lambda (``n_lambda``) and the LLT sets
-N~_lambda (``n_tilde``) come from one generator, ``_block_permutations``,
-which builds sigma position by position in lexicographic order and drops a
-value as soon as it breaks a condition; every condition reads only the
-prefix built so far, so the output is the n!-permutation filter's, in its
-order.  Inversion sums over these sets are counted per inversion number
+One generator, ``_block_sequences``, enumerates the block permutation sets
+N_lambda (``n_lambda``), the LLT sets N~_lambda (``n_tilde``) and the graph
+tableaux (``graph_tableaux``, whose blocks are the rows, bottom row first).
+It builds the sequence position by position in lexicographic order and
+drops a value as soon as it breaks a condition; every condition reads only
+the prefix built so far, so the output is the n!-permutation filter's, in
+its order.  Inversion sums over these sets are counted per inversion number
 before one Laurent polynomial is built, and the t-factors of each lambda
 ((t-1)^j, the t-analogue and (t^k - 1) products) are built once per lambda.
 
@@ -38,8 +39,9 @@ and raises ``IdentityViolation``.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from typing import NamedTuple
 
@@ -192,40 +194,29 @@ def llt_g(h: UGraph) -> SymFunc:
 
 def graph_tableaux(shape, horiz: UGraph, vert: UGraph):
     """Yield the fillings of a French shape by 1..n, n = sum(shape), each
-    value once, under graph constraints.
+    value once, under graph constraints, as tuples of rows, bottom row first.
 
     Rows increase left to right; horizontally adjacent entries must not be an
     edge of ``horiz``; for ``u`` directly above ``v``, either u > v or {u,v}
-    is an edge of ``vert``.  Cells are filled bottom row first, left to
-    right, trying values in ascending order, so the output order is fixed.
+    is an edge of ``vert``.  These are the block sequences whose blocks are
+    the rows, so they come in lexicographic order of the rows read bottom
+    row first.
     """
     shape = tuple(shape)
-    n = sum(shape)
-    rows = [[0] * width for width in shape]
-    used = [False] * (n + 1)
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
+    starts = [sum(shape[:r]) for r in range(len(shape))]
 
-    def place(idx):
-        if idx == len(cells):
-            yield tuple(tuple(row) for row in rows)
-            return
-        r, c = cells[idx]
-        left = rows[r][c - 1] if c > 0 else 0
-        below = rows[r - 1][c] if r > 0 else 0
-        for val in range(left + 1, n + 1):
-            if used[val]:
-                continue
-            if left and horiz.has_edge(left, val):
-                continue
-            if below and val < below and not vert.has_edge(val, below):
-                continue
-            rows[r][c] = val
-            used[val] = True
-            yield from place(idx + 1)
-            used[val] = False
-        rows[r][c] = 0
+    def rejects(sigma, row_of, start, j):
+        val = sigma[j]
+        if j > start and (val < sigma[j - 1] or horiz.has_edge(sigma[j - 1], val)):
+            return True
+        row = row_of[j]
+        if not row:
+            return False
+        below = sigma[starts[row - 1] + j - start]
+        return val < below and not vert.has_edge(val, below)
 
-    yield from place(0)
+    for sigma in _block_sequences(sum(shape), shape, rejects):
+        yield tuple(sigma[lo:lo + width] for lo, width in zip(starts, shape))
 
 
 def tableau_inv(rows, graph: UGraph) -> int:
@@ -244,9 +235,7 @@ def x_g_schur(h: UGraph) -> SymFunc:
     n = h.n
     coeffs = {}
     for lam in partitions_of(n):
-        total = LaurentQT.zero()
-        for rows in graph_tableaux(lam, h, h):
-            total = total + LaurentQT.term(1, 0, tableau_inv(rows, h))
+        total = _t_sum(tableau_inv(rows, h) for rows in graph_tableaux(lam, h, h))
         if not total.is_zero():
             coeffs[lam] = total
     return SymFunc(n, "schur", coeffs, LaurentQT)
@@ -286,21 +275,20 @@ def _block_of(lam) -> tuple:
     return tuple(b for b, length in enumerate(lam) for _ in range(length))
 
 
-def _block_permutations(h: UGraph, lam, rejects) -> list:
-    """Block permutations of h's vertices into blocks of lengths lam, as
-    sigma tuples in one-line notation in lexicographic order, that
-    ``rejects(h, sigma, block_of, start, j)`` passes at no position j past
-    the first of its block (which begins at position ``start``).
+def _block_sequences(n: int, lam, rejects) -> list:
+    """Sequences of the values 1..n, each used once, cut into blocks of
+    lengths lam, in lexicographic order, that ``rejects(sigma, block_of,
+    start, j)`` passes at every position j (its block begins at position
+    ``start``; block starts are tested too).
 
     sigma is built one position at a time, trying values in ascending
     order, and a value is dropped on insertion.  That yields exactly the
-    permutations a full scan of all n! would keep, in the same order,
-    because every condition reads sigma[:j+1] only: a rejected prefix has
-    no accepted completion.
+    sequences a full scan of all n! would keep, in the same order, because
+    every condition reads sigma[:j+1] only: a rejected prefix has no
+    accepted completion.
     """
     lam = tuple(lam)
-    n = sum(lam)
-    if n != h.n:
+    if sum(lam) != n:
         raise ValueError("partition size must equal vertex count")
     block_of = _block_of(lam)
     start_of = [block_of.index(b) for b in block_of]
@@ -317,7 +305,7 @@ def _block_permutations(h: UGraph, lam, rejects) -> list:
             if used[val]:
                 continue
             sigma[j] = val
-            if j != start and rejects(h, sigma, block_of, start, j):
+            if rejects(sigma, block_of, start, j):
                 continue
             used[val] = True
             place(j + 1)
@@ -334,7 +322,7 @@ def _lambda_rejects(h, sigma, block_of, start, j) -> bool:
 def n_lambda(h: UGraph, lam) -> list:
     """Permutations with no graph descents and no nontrivial LR graph maxima,
     as sigma tuples cut into blocks of lengths lam."""
-    return _block_permutations(h, lam, _lambda_rejects)
+    return _block_sequences(h.n, lam, partial(_lambda_rejects, h))
 
 
 def perm_inv(h: UGraph, sigma) -> int:
@@ -348,25 +336,27 @@ def perm_inv(h: UGraph, sigma) -> int:
     )
 
 
+def _t_sum(stats) -> LaurentQT:
+    """Sum of t^s over integer statistics s, counted per value before one
+    Laurent polynomial is built."""
+    return LaurentQT({(0, s): count for s, count in Counter(stats).items()})
+
+
 def _inversion_sum(h: UGraph, perms) -> LaurentQT:
-    """Sum of t^perm_inv over a list of block permutations (sigma tuples),
-    counted per inversion number first."""
-    hist: dict[int, int] = {}
-    for sigma in perms:
-        inv = perm_inv(h, sigma)
-        hist[inv] = hist.get(inv, 0) + 1
-    return LaurentQT({(0, inv): count for inv, count in hist.items()})
+    """Sum of t^perm_inv over a list of block permutations (sigma tuples)."""
+    return _t_sum(perm_inv(h, sigma) for sigma in perms)
 
 
 def x_g_power(h: UGraph) -> SymFunc:
-    """Power sum expansion of omega X_H(x;t); the caller un-omegas to compare."""
+    """Power sum expansion of X_H(x;t): the N_lambda sums give omega X_H,
+    and omega is applied here."""
     n = h.n
     coeffs = {}
     for lam in partitions_of(n):
         total = _inversion_sum(h, n_lambda(h, lam))
         if not total.is_zero():
             coeffs[lam] = total.scale(Fraction(1, z_of(lam)))
-    return SymFunc(n, "power", coeffs, LaurentQT)
+    return omega(SymFunc(n, "power", coeffs, LaurentQT))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +365,9 @@ def x_g_power(h: UGraph) -> SymFunc:
 
 def _tilde_rejects(h, sigma, block_of, start, j) -> bool:
     # below the block's first entry, or an in-block ascent that is no edge
-    return sigma[j] < sigma[start] or (
+    return j > start and (sigma[j] < sigma[start] or (
         sigma[j - 1] < sigma[j] and not h.has_edge(sigma[j - 1], sigma[j])
-    )
+    ))
 
 
 def n_tilde(h: UGraph, lam) -> list:
@@ -388,7 +378,7 @@ def n_tilde(h: UGraph, lam) -> list:
     Note: the consecutive-ascent condition must read "is an edge"; the
     non-edge reading contradicts the divided form already at two vertices.
     """
-    return _block_permutations(h, lam, _tilde_rejects)
+    return _block_sequences(h.n, lam, partial(_tilde_rejects, h))
 
 
 def t_analogue(k: int) -> LaurentQT:
@@ -412,14 +402,15 @@ def _lambda_factors(lam) -> tuple[LaurentQT, LaurentQT, LaurentQT]:
 
 
 def llt_power_tilde(h: UGraph) -> SymFunc:
-    """omega LLT in the power basis from the tilde permutation sets."""
+    """LLT_H in the power basis from the tilde permutation sets, which give
+    omega LLT_H; omega is applied here."""
     n = h.n
     coeffs = {}
     for lam in partitions_of(n):
         total = _inversion_sum(h, n_tilde(h, lam))
         value = _lambda_factors(lam)[0] * total
         coeffs[lam] = value.scale(Fraction(1, z_of(lam)))
-    return SymFunc(n, "power", coeffs, LaurentQT)
+    return omega(SymFunc(n, "power", coeffs, LaurentQT))
 
 
 def verify_plethysm(h: UGraph, llt: SymFunc, x: SymFunc) -> bool:
@@ -428,9 +419,9 @@ def verify_plethysm(h: UGraph, llt: SymFunc, x: SymFunc) -> bool:
 
     Checks, for every lambda, each quotient cleared of its denominator so
     that both sides are Laurent polynomials:
-      1. the tilde formula equals omega of the enumerated LLT,
+      1. the tilde formula equals the enumerated LLT,
       2. the N_lambda inversion sum, divided by the product of the
-         t-analogues of the parts, equals the same,
+         t-analogues of the parts, equals omega of the same,
       3. coefficientwise, LLT equals (t-1)^n X[p_k -> p_k/(t^k - 1)],
       4. each N_lambda inversion sum is exactly divisible by the product of
          the t-analogues of the parts.
@@ -440,18 +431,18 @@ def verify_plethysm(h: UGraph, llt: SymFunc, x: SymFunc) -> bool:
     """
     n = h.n
     llt_power = convert(llt, "power")
-    direct = omega(llt_power)
+    omega_llt = omega(llt_power)
     tilde = llt_power_tilde(h)
     x_power = convert(x, "power")
     t_minus_1_to_n = _lambda_factors((1,) * n)[2]  # prod (t^1 - 1) over n parts
 
     for lam in partitions_of(n):
-        want = direct.get(lam)
+        want = omega_llt.get(lam)
         total = _inversion_sum(h, n_lambda(h, lam))
         t_minus_1_power, analogue, den = _lambda_factors(lam)
         # check 2 as num/z_lambda = want * prod [part]_t
         num = t_minus_1_power * total
-        if tilde.get(lam) != want or num.scale(Fraction(1, z_of(lam))) != want * analogue:
+        if tilde.get(lam) != llt_power.get(lam) or num.scale(Fraction(1, z_of(lam))) != want * analogue:
             return False
         # plethystic identity LLT = (t-1)^n X[x/(t-1)], as
         # LLT_lambda * prod (t^part - 1) = X_lambda * (t-1)^n

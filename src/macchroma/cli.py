@@ -24,7 +24,7 @@ from . import macdonald as macmod
 from .chromatic import IdentityViolation, llt_g, x_g, x_g_power, x_g_schur
 from .graphs import attacking_data
 from .shapes import conjugate, parse_partition
-from .symfunc import convert, omega
+from .symfunc import convert
 from .verify import run_conjecture, run_suites
 
 _JQT_METHODS = {
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
             elif args.basis == "schur":
                 f = x_g_schur(h)
             elif args.basis == "power":
-                f = omega(x_g_power(h))
+                f = x_g_power(h)
             else:
                 f = x_g(h)
             _emit(f, args.format)

@@ -42,10 +42,6 @@ class InexactDivision(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-class NonInvertible(ArithmeticError):
-    """Raised when inverting a Laurent polynomial that is not a monomial."""
-
-
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -240,11 +236,7 @@ class LaurentQT:
 
     def __pow__(self, k: int):
         if k < 0:
-            if len(self._terms) != 1:
-                raise NonInvertible("non-invertible element")
-            (key, c), = self._terms.items()
-            base = self.__class__({tuple(-e for e in key): 1 / c})
-            return base ** (-k)
+            raise ValueError(f"negative exponent {k}")
         result = self.one()
         base = self
         while k:

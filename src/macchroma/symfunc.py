@@ -224,7 +224,7 @@ def transition_table(n: int) -> TransitionTable:
 
 
 # ---------------------------------------------------------------------------
-# Basis conversion, omega, positivity
+# Basis conversion and omega
 # ---------------------------------------------------------------------------
 
 def _apply(f: SymFunc, matrix, basis: str) -> SymFunc:
@@ -296,22 +296,3 @@ def omega(f: SymFunc) -> SymFunc:
             out[lam] = c.scale(Fraction(-1)) if sign else c
         return SymFunc(f.degree, "power", out, f.ring)
     raise ValueError("convert first")
-
-
-def schur_positive(f: SymFunc):
-    """Check nonnegativity of a Schur-basis expansion over LaurentQT.
-
-    Returns ``(True, None)`` when every coefficient has only nonnegative
-    rational coefficients and no negative exponents, otherwise ``(False,
-    (lam, term_string))`` for the first violation in canonical order.
-    """
-    if f.basis != "schur":
-        raise ValueError("schur_positive requires the Schur basis")
-    for lam in sorted(f.coeffs, reverse=True):
-        c = f.coeffs[lam]
-        for (qa, tb) in sorted(c.terms):
-            coeff = c.terms[(qa, tb)]
-            if coeff < 0 or qa < 0 or tb < 0:
-                witness = str(LaurentQT({(qa, tb): coeff}))
-                return False, (lam, witness)
-    return True, None

@@ -19,7 +19,7 @@ from . import macdonald as macmod
 from .graphs import attacking_data, is_claw_free, sandwich_graphs
 from .rings import InexactDivision, LaurentQT
 from .shapes import check_partition, conjugate, n_stat, partitions_of
-from .symfunc import convert, omega
+from .symfunc import convert
 
 SUITES = ("macdonald", "jack", "chromatic", "llt")
 
@@ -157,7 +157,7 @@ def check_chromatic_mu(mu) -> dict:
         if bad:
             return bad
         bad = _first_mismatch(mu, f"power_route_mask{index}", "power",
-                              convert(x, "power"), omega(chrom.x_g_power(h)))
+                              convert(x, "power"), chrom.x_g_power(h))
         if bad:
             return bad
         at_one = x.map_coeffs(lambda c: c.substitute_t(1, 0))

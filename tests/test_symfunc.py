@@ -12,7 +12,6 @@ from macchroma.symfunc import (
     convert,
     kostka,
     omega,
-    schur_positive,
     transition_table,
     z_of,
 )
@@ -138,17 +137,6 @@ def test_omega_routes_commute():
     for n in range(1, 7):
         f = random_symfunc(rng, n, "schur")
         assert convert(omega(f), "power") == omega(convert(f, "power"))
-
-
-def test_schur_positive():
-    good = SymFunc(2, "schur", {(2,): P("1 + q*t")}, LaurentQT)
-    assert schur_positive(good) == (True, None)
-    bad = SymFunc(2, "schur", {(2,): P("q - t")}, LaurentQT)
-    ok, witness = schur_positive(bad)
-    assert not ok and witness == ((2,), "-t")
-    laurent = SymFunc(2, "schur", {(1, 1): P("t^-1")}, LaurentQT)
-    ok, witness = schur_positive(laurent)
-    assert not ok and witness == ((1, 1), "t^-1")
 
 
 def test_unitriangularity_of_kostka_table():
