@@ -17,6 +17,9 @@ the prefix built so far, so the output is the n!-permutation filter's, in
 its order.  Inversion sums over these sets are counted per inversion number
 before one Laurent polynomial is built, and the t-factors of each lambda
 ((t-1)^j, the t-analogue and (t^k - 1) products) are built once per lambda.
+The power sum routes (``x_g_power``, ``llt_power_tilde``, ``j_power``)
+share ``_omega_power``, which makes omega of sum c_lambda/z_lambda p_lambda, and
+``verify_plethysm`` reads the first two rather than re-deriving them.
 
 The monomial routes share one enumeration, ``coloring_census``: the
 colorings of a graph G (``graphs.colorings`` with palette n, proper or all
@@ -25,16 +28,17 @@ k added edges they leave monochromatic or ascending.  Every
 sandwich graph H = G + (a subset of the added edges) is then read off that
 census by ``from_census``: a coloring is H-proper iff no added edge of H is
 monochromatic, and its H-ascents are its G-ascents plus the ascending added
-edges of H.  ``from_census`` is the one reader of a census: ``x_g`` and
-``llt_g`` are the case of no added edge (for the empty graph, the one empty
-coloring), and ``with_t=False`` reads X_H(x; 1), which
-``jack.jack_chromatic`` sums over the sandwich graphs.
+edges of H.  ``from_census`` is the one reader of a census: one walk gives
+every sandwich graph, as a tuple indexed by mask.  ``x_g`` and ``llt_g``
+are entry 0 of a census with no added edge (for the empty graph, the one
+empty coloring), and ``jack.jack_chromatic`` sums the t = 1 values
+X_H(x; 1) of the whole tuple.
 
 Every sandwich graph read off by ``from_census`` is audited for symmetry
 over full exponent vectors before monomial coefficients are taken: every
 rearrangement of a content must carry the same counts.  An asymmetric
 result means the graph is outside the class the expansion theorems cover,
-and raises ``IdentityViolation``.
+and raises ``IdentityViolation`` for the whole read.
 """
 
 from __future__ import annotations
@@ -124,12 +128,15 @@ def coloring_census(g: UGraph, added=(), proper: bool = True) -> ColoringCensus:
     return ColoringCensus(n, k, proper, counts)
 
 
+def _t_poly(hist) -> LaurentQT:
+    """Sum of count * t^s over a histogram {s: count} of integer statistics,
+    which the routes count per value before one Laurent polynomial is built."""
+    return LaurentQT({(0, s): count for s, count in hist.items()})
+
+
 def _rearrangement_count(typ) -> int:
-    mult: dict[int, int] = {}
-    for x in typ:
-        mult[x] = mult.get(x, 0) + 1
     count = factorial(len(typ))
-    for m in mult.values():
+    for m in Counter(typ).values():
         count //= factorial(m)
     return count
 
@@ -144,48 +151,44 @@ def _audit_symmetry(census, what: str):
             raise IdentityViolation(f"{what} not symmetric (type {typ})")
 
 
-def from_census(census: ColoringCensus, mask: int = 0, with_t: bool = True) -> SymFunc:
+def from_census(census: ColoringCensus) -> tuple:
     """X_H (a proper census) or LLT_H (an all-colorings census) in the
-    monomial basis, for H = G plus the added edges whose bits are set in
-    ``mask``.  With ``with_t`` each coefficient is the ascent generating
-    polynomial in t; without it every coloring counts 1 (t = 1)."""
-    n, k = census.n, census.k
-    if not 0 <= mask < 1 << k:
-        raise ValueError(f"mask {mask} selects edges beyond the {k} added ones")
+    monomial basis for every sandwich graph H, as a tuple indexed by mask:
+    entry ``mask`` is H = G plus the added edges whose bits are set in it.
+    Each coefficient is the ascent generating polynomial in t; X_H(x; 1) is
+    the sum of its coefficients."""
+    k = census.k
     shift = 2 * k
-    hists = {}
+    hists = [{} for _ in range(1 << k)]  # per mask: {exponent vector: {ascents: count}}
     for vec, counts in census.counts.items():
-        hist: dict[int, int] = {}
+        by_mask = [{} for _ in hists]
         for key, count in counts.items():
-            if census.proper and key >> k & mask:
-                continue
-            asc = (key >> shift) + (key & mask).bit_count()
-            hist[asc] = hist.get(asc, 0) + count
-        if hist:
-            hists[vec] = hist
-    _audit_symmetry(hists, "X_H" if census.proper else "LLT_G")
-
-    def coeff(hist):
-        if with_t:
-            return LaurentQT({(0, asc): Fraction(c) for asc, c in hist.items()})
-        return LaurentQT.from_int(sum(hist.values()))
-
-    return monomial_from_contents(hists, n, LaurentQT, coeff)
+            asc_g = key >> shift
+            equal = key >> k if census.proper else 0
+            for mask, hist in enumerate(by_mask):
+                if not equal & mask:
+                    asc = asc_g + (key & mask).bit_count()
+                    hist[asc] = hist.get(asc, 0) + count
+        for by_vec, hist in zip(hists, by_mask):
+            if hist:
+                by_vec[vec] = hist
+    for by_vec in hists:
+        _audit_symmetry(by_vec, "X_H" if census.proper else "LLT_G")
+    return tuple(monomial_from_contents(by_vec, census.n, LaurentQT, _t_poly) for by_vec in hists)
 
 
 def x_g(h: UGraph) -> SymFunc:
     """Chromatic quasisymmetric function X_H(x; t) in the monomial basis:
     each monomial's coefficient is the ascent generating polynomial in t
-    of its proper colorings.  This is ``from_census`` of h's own census,
-    with no added edge; ``from_census(..., with_t=False)`` gives X_H(x; 1).
-    """
-    return from_census(coloring_census(h))
+    of its proper colorings.  This is entry 0 of ``from_census`` of h's own
+    census, which has no added edge."""
+    return from_census(coloring_census(h))[0]
 
 
 def llt_g(h: UGraph) -> SymFunc:
     """Ascent generating function over all (not necessarily proper) colorings;
-    ``from_census`` of h's all-colorings census, with no added edge."""
-    return from_census(coloring_census(h, proper=False))
+    entry 0 of ``from_census`` of h's all-colorings census."""
+    return from_census(coloring_census(h, proper=False))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +235,9 @@ def x_g_schur(h: UGraph) -> SymFunc:
     """Schur expansion of X_H(x;t) via graph tableaux; requires claw-free H."""
     if not is_claw_free(h):
         raise ValueError("graph has an induced claw; Schur tableau expansion needs claw-free input")
-    n = h.n
-    coeffs = {}
-    for lam in partitions_of(n):
-        total = _t_sum(tableau_inv(rows, h) for rows in graph_tableaux(lam, h, h))
-        if not total.is_zero():
-            coeffs[lam] = total
-    return SymFunc(n, "schur", coeffs, LaurentQT)
+    coeffs = {lam: _t_poly(Counter(tableau_inv(rows, h) for rows in graph_tableaux(lam, h, h)))
+              for lam in partitions_of(h.n)}
+    return SymFunc(h.n, "schur", coeffs, LaurentQT)
 
 
 # ---------------------------------------------------------------------------
@@ -336,27 +335,23 @@ def perm_inv(h: UGraph, sigma) -> int:
     )
 
 
-def _t_sum(stats) -> LaurentQT:
-    """Sum of t^s over integer statistics s, counted per value before one
-    Laurent polynomial is built."""
-    return LaurentQT({(0, s): count for s, count in Counter(stats).items()})
-
-
 def _inversion_sum(h: UGraph, perms) -> LaurentQT:
     """Sum of t^perm_inv over a list of block permutations (sigma tuples)."""
-    return _t_sum(perm_inv(h, sigma) for sigma in perms)
+    return _t_poly(Counter(perm_inv(h, sigma) for sigma in perms))
+
+
+def _omega_power(n: int, coeff) -> SymFunc:
+    """omega of the sum over lam |- n of coeff(lam)/z_lam p_lam: the power
+    sum routes count omega of their function, block sequence by block
+    sequence, and hand the lam-sum to this."""
+    coeffs = {lam: coeff(lam).scale(Fraction(1, z_of(lam))) for lam in partitions_of(n)}
+    return omega(SymFunc(n, "power", coeffs, LaurentQT))
 
 
 def x_g_power(h: UGraph) -> SymFunc:
     """Power sum expansion of X_H(x;t): the N_lambda sums give omega X_H,
     and omega is applied here."""
-    n = h.n
-    coeffs = {}
-    for lam in partitions_of(n):
-        total = _inversion_sum(h, n_lambda(h, lam))
-        if not total.is_zero():
-            coeffs[lam] = total.scale(Fraction(1, z_of(lam)))
-    return omega(SymFunc(n, "power", coeffs, LaurentQT))
+    return _omega_power(h.n, lambda lam: _inversion_sum(h, n_lambda(h, lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,53 +399,43 @@ def _lambda_factors(lam) -> tuple[LaurentQT, LaurentQT, LaurentQT]:
 def llt_power_tilde(h: UGraph) -> SymFunc:
     """LLT_H in the power basis from the tilde permutation sets, which give
     omega LLT_H; omega is applied here."""
-    n = h.n
-    coeffs = {}
-    for lam in partitions_of(n):
-        total = _inversion_sum(h, n_tilde(h, lam))
-        value = _lambda_factors(lam)[0] * total
-        coeffs[lam] = value.scale(Fraction(1, z_of(lam)))
-    return omega(SymFunc(n, "power", coeffs, LaurentQT))
+    return _omega_power(h.n, lambda lam: _lambda_factors(lam)[0] * _inversion_sum(h, n_tilde(h, lam)))
 
 
 def verify_plethysm(h: UGraph, llt: SymFunc, x: SymFunc) -> bool:
-    """Cross-check every LLT power sum route of h against h's monomial LLT_H
-    and X_H (``llt_g(h)`` and ``x_g(h)``, or read off a shared census).
+    """Cross-check h's power sum routes against h's monomial LLT_H and X_H
+    (``llt_g(h)`` and ``x_g(h)``, or read off a shared census).
 
-    Checks, for every lambda, each quotient cleared of its denominator so
-    that both sides are Laurent polynomials:
-      1. the tilde formula equals the enumerated LLT,
-      2. the N_lambda inversion sum, divided by the product of the
-         t-analogues of the parts, equals omega of the same,
+    With xp = ``x_g_power(h)`` (the N_lambda route, whose lam coefficient is
+    (-1)^(n - len(lam)) times the N_lambda inversion sum over z_lam), checks,
+    for every lambda, each quotient cleared of its denominator so that both
+    sides are Laurent polynomials:
+      1. the tilde formula (``llt_power_tilde(h)``) equals the enumerated LLT,
+      2. xp_lam * (t-1)^(n - len(lam)) equals LLT_lam times the product of
+         the t-analogues of the parts,
       3. coefficientwise, LLT equals (t-1)^n X[p_k -> p_k/(t^k - 1)],
-      4. each N_lambda inversion sum is exactly divisible by the product of
-         the t-analogues of the parts.
-
-    LLT_H goes to the power basis once, and each N_lambda sum and
-    t-analogue product serves checks 2 and 4 alike.
+      4. each xp_lam is exactly divisible by the product of the t-analogues
+         of the parts (as the N_lambda inversion sum is; a rational unit
+         does not change that).
     """
     n = h.n
     llt_power = convert(llt, "power")
-    omega_llt = omega(llt_power)
     tilde = llt_power_tilde(h)
+    xp = x_g_power(h)
     x_power = convert(x, "power")
     t_minus_1_to_n = _lambda_factors((1,) * n)[2]  # prod (t^1 - 1) over n parts
 
     for lam in partitions_of(n):
-        want = omega_llt.get(lam)
-        total = _inversion_sum(h, n_lambda(h, lam))
+        want = llt_power.get(lam)
         t_minus_1_power, analogue, den = _lambda_factors(lam)
-        # check 2 as num/z_lambda = want * prod [part]_t
-        num = t_minus_1_power * total
-        if tilde.get(lam) != llt_power.get(lam) or num.scale(Fraction(1, z_of(lam))) != want * analogue:
+        if tilde.get(lam) != want or xp.get(lam) * t_minus_1_power != want * analogue:
             return False
         # plethystic identity LLT = (t-1)^n X[x/(t-1)], as
         # LLT_lambda * prod (t^part - 1) = X_lambda * (t-1)^n
-        if llt_power.get(lam) * den != x_power.get(lam) * t_minus_1_to_n:
+        if want * den != x_power.get(lam) * t_minus_1_to_n:
             return False
-        # divisibility of the N_lambda sum by the t-analogue product
         try:
-            total.exact_div(analogue)
+            xp.get(lam).exact_div(analogue)
         except ArithmeticError:
             return False
     return True

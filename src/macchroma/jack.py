@@ -13,10 +13,11 @@ the input diagram.
 Each filling and chromatic route reads its per-down-edge weight products
 from one table by mask (``rings.mask_products``).  The chromatic-sum route
 is the paper's sum over the sandwich graphs G <= H <= G+: one coloring
-census of the attacking graph (``coloring_census``) is read once per H by
-``from_census`` at t = 1, and each X_H(x; 1) is weighted by its mask's
-product of the unsimplified (out_i, in_i) factors.  No factor is summed in
-advance, so this route's weight table is not the Knop-Sahi route's.
+census of the attacking graph (``coloring_census``) is read once by
+``from_census``, which gives every X_H, and each X_H(x; 1) is weighted by
+its mask's product of the unsimplified (out_i, in_i) factors.  No factor is
+summed in advance, so this route's weight table is not the Knop-Sahi
+route's.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def jack_chromatic(mu) -> SymFunc:
     where G is the attacking graph, added edge i is the down-edge of a cell
     with hook h_i, and w(H) = prod over added edges of in_i = -h_i (edge in
     H) or out_i = 1 + h_i (not).  Every X_H is read off one coloring census
-    of G (``from_census``, which audits each H for symmetry).
+    of G in one ``from_census`` call, which audits each H for symmetry.
     """
     mu = check_partition(mu)
     data = attacking_data(mu)
@@ -72,9 +73,9 @@ def jack_chromatic(mu) -> SymFunc:
     weights = mask_products(AlphaPoly.one(), [(AlphaPoly.one() + hook, -hook) for hook in hooks])
     census = coloring_census(data.g, [edge for edge, _, _ in data.down_edges])
     total = SymFunc(sum(mu), "monomial", {}, AlphaPoly)
-    for mask, weight in enumerate(weights):
-        x_at_one = from_census(census, mask, with_t=False)
-        total = total + x_at_one.map_coeffs(lambda c: weight.scale(c.terms[(0, 0)]), AlphaPoly)
+    for weight, x in zip(weights, from_census(census)):
+        # X_H(x; 1): each coefficient's ascent polynomial at t = 1
+        total = total + x.map_coeffs(lambda c: weight.scale(sum(c.terms.values())), AlphaPoly)
     return total
 
 

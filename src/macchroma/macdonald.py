@@ -27,6 +27,7 @@ from .chromatic import (
     _block_of,
     _lambda_rejects,
     _nontrivial_lr_max_at,
+    _omega_power,
     graph_tableaux,
     n_lambda,
     perm_inv,
@@ -36,7 +37,7 @@ from .chromatic import (
 from .graphs import attacking_data, colorings, sandwich_graphs
 from .rings import LaurentQT, mask_products
 from .shapes import check_partition, conjugate, n_stat, partitions_of
-from .symfunc import SymFunc, monomial_from_contents, omega, z_of
+from .symfunc import SymFunc, monomial_from_contents
 
 ONE_MINUS_T = LaurentQT.parse("1 - t")
 
@@ -261,15 +262,13 @@ def wt_p(sigma, lam, mu) -> LaurentQT:
 def j_power(mu) -> SymFunc:
     """Block permutation formula, power basis (returns J itself, not omega J)."""
     mu = check_partition(mu)
-    n = sum(mu)
     data = attacking_data(mu)
     pref = prefactor(mu)
-    coeffs = {}
-    for lam in partitions_of(n):
+
+    def coeff(lam):
         total = LaurentQT.zero()
         for sigma in n_lambda(data.g_plus, lam):
             total = total + wt_p(sigma, lam, mu)
-        value = (total * pref).scale(Fraction(1, z_of(lam)))
-        if not value.is_zero():
-            coeffs[lam] = value
-    return omega(SymFunc(n, "power", coeffs, LaurentQT))
+        return total * pref
+
+    return _omega_power(sum(mu), coeff)

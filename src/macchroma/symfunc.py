@@ -20,6 +20,7 @@ are exact and cached per degree in a ``TransitionTable``:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -164,10 +165,7 @@ def kostka(lam, mu) -> int:
 def z_of(lam) -> int:
     """Centralizer size of the cycle type lam: product of i^m_i * m_i!."""
     z = 1
-    mult: dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
+    for part, m in Counter(lam).items():
         z *= part**m * factorial(m)
     return z
 

@@ -147,22 +147,16 @@ def check_chromatic_mu(mu) -> dict:
     mu = check_partition(mu)
     data = attacking_data(mu)
     added = [edge for edge, _, _ in data.down_edges]  # bit i of a sandwich mask
-    census = chrom.coloring_census(data.g, added)
-    for index, h in enumerate(sandwich_graphs(data)):
+    xs = chrom.from_census(chrom.coloring_census(data.g, added))  # audits every H
+    for index, (h, x) in enumerate(zip(sandwich_graphs(data), xs)):
         if not is_claw_free(h):
             return _counterexample(mu, "claw_free", None, (index,), "claw-free", "claw found")
-        x = chrom.from_census(census, index)  # includes the symmetry audit
         bad = _first_mismatch(mu, f"schur_route_mask{index}", "schur",
                               convert(x, "schur"), chrom.x_g_schur(h))
         if bad:
             return bad
         bad = _first_mismatch(mu, f"power_route_mask{index}", "power",
                               convert(x, "power"), chrom.x_g_power(h))
-        if bad:
-            return bad
-        at_one = x.map_coeffs(lambda c: c.substitute_t(1, 0))
-        bad = _first_mismatch(mu, f"t_equals_one_mask{index}", "monomial",
-                              chrom.from_census(census, index, with_t=False), at_one)
         if bad:
             return bad
     return {"mu": list(mu), "status": "pass"}
@@ -172,10 +166,9 @@ def check_llt_mu(mu) -> dict:
     mu = check_partition(mu)
     data = attacking_data(mu)
     added = [edge for edge, _, _ in data.down_edges]
-    llt_census = chrom.coloring_census(data.g, added, proper=False)
-    x_census = chrom.coloring_census(data.g, added)
-    for index, h in enumerate(sandwich_graphs(data)):
-        llt, x = chrom.from_census(llt_census, index), chrom.from_census(x_census, index)
+    llts = chrom.from_census(chrom.coloring_census(data.g, added, proper=False))
+    xs = chrom.from_census(chrom.coloring_census(data.g, added))
+    for index, (h, llt, x) in enumerate(zip(sandwich_graphs(data), llts, xs)):
         if not chrom.verify_plethysm(h, llt, x):
             return _counterexample(mu, f"llt_plethysm_mask{index}", "power", None,
                                    "plethystic identities hold", "violation")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import macchroma
-from macchroma import graphs, shapes
+from macchroma import chromatic, graphs, shapes
 from macchroma.chromatic import (
     IdentityViolation,
     coloring_census,
@@ -41,15 +41,14 @@ def test_x_g_empty_graph():
 
 def test_x_g_and_llt_g_of_the_graph_on_no_vertices_are_one():
     one = SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
-    at_one = from_census(coloring_census(UGraph(0)), with_t=False)
-    assert x_g(UGraph(0)) == at_one == llt_g(UGraph(0)) == one
+    assert from_census(coloring_census(UGraph(0))) == (one,)
+    assert x_g(UGraph(0)) == llt_g(UGraph(0)) == one
 
 
 def test_x_g_single_edge():
     f = x_g(UGraph(2, [(1, 2)]))
     assert f.coeffs == {(1, 1): P("1 + t")}
-    flat = from_census(coloring_census(UGraph(2, [(1, 2)])), with_t=False)
-    assert flat.coeffs == {(1, 1): LaurentQT.from_int(2)}
+    assert f.map_coeffs(lambda c: c.substitute_t(1, 0)).coeffs == {(1, 1): LaurentQT.from_int(2)}
 
 
 def test_x_g_symmetry_audit():
@@ -278,6 +277,18 @@ def test_plethysm_checks_fail_on_one_perturbed_coefficient():
                                        _perturbed(x_p, lam, den)), (h, lam)
 
 
+def test_verify_plethysm_reads_the_n_lambda_route(monkeypatch):
+    # checks 2 and 4 read x_g_power, so one perturbed coefficient of it
+    # must fail the check though LLT_H and X_H are right
+    h = UGraph(3, [(1, 2), (2, 3)])
+    llt, x = llt_g(h), x_g(h)
+    assert verify_plethysm(h, llt, x)
+    real = chromatic.x_g_power
+    for lam in partitions_of(h.n):
+        monkeypatch.setattr(chromatic, "x_g_power", lambda g, lam=lam: _perturbed(real(g), lam))
+        assert not verify_plethysm(h, llt, x), lam
+
+
 def test_verify_plethysm_small_graphs():
     for h in (UGraph(2), UGraph(2, [(1, 2)]), *sandwich_graphs(attacking_data((2, 1)))):
         assert verify_plethysm(h, llt_g(h), x_g(h))
@@ -299,15 +310,6 @@ def test_tilde_sum_times_analogue_matches_plain_sum():
                 for part in lam:
                     product = product * t_analogue(part)
                 assert product == plain
-
-
-def test_x_g_with_t_specializes_to_plain():
-    for mu in partitions_of(4):
-        data = attacking_data(mu)
-        for h in sandwich_graphs(data):
-            weighted = x_g(h)
-            plain = from_census(coloring_census(h), with_t=False)
-            assert weighted.map_coeffs(lambda c: c.substitute_t(1, 0)) == plain
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +340,27 @@ def test_census_matches_brute_force_on_every_sandwich_graph():
         for mu in partitions_of(n):
             data = attacking_data(mu)
             added = [edge for edge, _, _ in data.down_edges]
-            proper = coloring_census(data.g, added)
-            every = coloring_census(data.g, added, proper=False)
-            for mask in range(1 << len(added)):
+            xs = from_census(coloring_census(data.g, added))
+            llts = from_census(coloring_census(data.g, added, proper=False))
+            assert len(xs) == len(llts) == 1 << len(added)
+            for mask, (x, llt) in enumerate(zip(xs, llts)):
                 h = data.g.with_edges(added[i] for i in range(len(added)) if mask >> i & 1)
-                for with_t in (True, False):
-                    assert from_census(proper, mask, with_t).coeffs == \
-                        _brute_monomial(h, True, with_t), (mu, mask, with_t)
-                assert from_census(every, mask).coeffs == _brute_monomial(h, False, True), (mu, mask)
+                for f, proper in ((x, True), (llt, False)):
+                    assert f.coeffs == _brute_monomial(h, proper, True), (mu, mask, proper)
+                    # X_H(x; 1) and LLT_H(x; 1): each coefficient's terms summed
+                    at_one = {lam: LaurentQT.from_int(sum(c.terms.values()))
+                              for lam, c in f.coeffs.items()}
+                    assert at_one == _brute_monomial(h, proper, False), (mu, mask, proper)
 
 
 def test_census_audits_each_sandwich_graph():
     # adding (2,3) to the edge (1,3) makes the crooked cherry of
-    # test_x_g_symmetry_audit; the graph without it is symmetric
-    census = coloring_census(UGraph(3, [(1, 3)]), [(2, 3)])
-    assert from_census(census, 0) == x_g(UGraph(3, [(1, 3)]))
+    # test_x_g_symmetry_audit, so the read of both sandwich graphs raises;
+    # the graph without it is symmetric
+    edge = UGraph(3, [(1, 3)])
     with pytest.raises(IdentityViolation):
-        from_census(census, 1)
-    with pytest.raises(ValueError):
-        from_census(census, 2)
+        from_census(coloring_census(edge, [(2, 3)]))
+    assert from_census(coloring_census(edge)) == (x_g(edge),)
 
 
 @pytest.mark.parametrize("added", [

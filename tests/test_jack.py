@@ -87,7 +87,8 @@ def _jack_chromatic_by_sandwich_graphs(mu):
         weight = AlphaPoly.one()
         for i in range(k):
             weight = weight * (-hooks[i] if mask >> i & 1 else AlphaPoly.one() + hooks[i])
-        counts = from_census(coloring_census(h), with_t=False)
+        (x_h,) = from_census(coloring_census(h))
+        counts = x_h.map_coeffs(lambda c: c.substitute_t(1, 0))
         total = total + SymFunc(n, "monomial", {
             lam: weight.scale(_constant_value(c)) for lam, c in counts.coeffs.items()
         }, AlphaPoly)
