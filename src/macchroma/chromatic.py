@@ -159,16 +159,18 @@ def from_census(census: ColoringCensus) -> tuple:
     the sum of its coefficients."""
     k = census.k
     shift = 2 * k
+    full = (1 << k) - 1
+    # the masks whose H leaves a coloring proper: those avoiding its equal bits
+    avoiding = [[mask for mask in range(1 << k) if not equal & mask] for equal in range(1 << k)]
     hists = [{} for _ in range(1 << k)]  # per mask: {exponent vector: {ascents: count}}
     for vec, counts in census.counts.items():
         by_mask = [{} for _ in hists]
         for key, count in counts.items():
             asc_g = key >> shift
-            equal = key >> k if census.proper else 0
-            for mask, hist in enumerate(by_mask):
-                if not equal & mask:
-                    asc = asc_g + (key & mask).bit_count()
-                    hist[asc] = hist.get(asc, 0) + count
+            for mask in avoiding[key >> k & full if census.proper else 0]:
+                hist = by_mask[mask]
+                asc = asc_g + (key & mask).bit_count()
+                hist[asc] = hist.get(asc, 0) + count
         for by_vec, hist in zip(hists, by_mask):
             if hist:
                 by_vec[vec] = hist
@@ -378,7 +380,7 @@ def n_tilde(h: UGraph, lam) -> list:
 
 def t_analogue(k: int) -> LaurentQT:
     """1 + t + ... + t^(k-1)."""
-    return LaurentQT({(0, i): Fraction(1) for i in range(k)})
+    return LaurentQT({(0, i): 1 for i in range(k)})
 
 
 @lru_cache(maxsize=256)

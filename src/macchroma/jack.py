@@ -10,17 +10,26 @@ weight is a product of hooks ``a*(leg+1) + arm`` attached to the upper cell
 of a down-edge.  As with the q,t case, the output index is the conjugate of
 the input diagram.
 
-Each filling and chromatic route reads its per-down-edge weight products
-from one table by mask (``rings.mask_products``).  The chromatic-sum route
-is the paper's sum over the sandwich graphs G <= H <= G+: one coloring
-census of the attacking graph (``coloring_census``) is read once by
-``from_census``, which gives every X_H, and each X_H(x; 1) is weighted by
-its mask's product of the unsimplified (out_i, in_i) factors.  No factor is
-summed in advance, so this route's weight table is not the Knop-Sahi
-route's.
+Every route counts its objects as integers per key before it builds any
+polynomial, and scales each key's weight once by its count: the filling
+route per (content, equal mask), the chromatic-sum route per (content,
+sandwich mask), the tableau route per (shape, down-edge place vector), and
+the edge-subset route per (component partition, added-edge mask), +1 or -1
+by the parity of the overlap with G.  The filling, chromatic and edge-subset
+routes read their per-down-edge weight products from one table by mask
+(``rings.mask_products``) and sum them with ``_weighted_sum``.
+
+The chromatic-sum route is the paper's sum over the sandwich graphs
+G <= H <= G+: one coloring census of the attacking graph
+(``coloring_census``) is read once by ``from_census``, which gives every
+X_H, and each X_H(x; 1) is weighted by its mask's product of the
+unsimplified (out_i, in_i) factors.  No factor is summed in advance, so this
+route's weight table is not the Knop-Sahi route's.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 # x_g is not called here; the name stays importable from jack because
 # perfbench's tracer self-tests check that every reference to it is wrapped
@@ -37,8 +46,20 @@ def hook_alpha(arm: int, leg: int) -> AlphaPoly:
     return AlphaPoly({(1,): leg + 1, (0,): arm})
 
 
+def _weighted_sum(weights, counts) -> AlphaPoly:
+    """The sum of ``count * weights[key]`` over the integer ``counts``
+    {key: count}: one scaled weight per key, whatever the number of objects
+    counted under it."""
+    total = AlphaPoly.zero()
+    for key, count in counts.items():
+        total = total + weights[key].scale(count)
+    return total
+
+
 def jack_knop_sahi(mu) -> SymFunc:
-    """Knop-Sahi filling formula, monomial basis."""
+    """Knop-Sahi filling formula, monomial basis: a filling weighs the
+    product of 1 + hook over the down-edges whose two cells carry equal
+    values.  Fillings are counted per (content, equal mask)."""
     mu = check_partition(mu)
     n = sum(mu)
     weight_by_mask = mask_products(AlphaPoly.one(), [
@@ -46,16 +67,15 @@ def jack_knop_sahi(mu) -> SymFunc:
         for (_, arm_u, leg_u) in attacking_data(mu).down_edges
     ])
 
-    buckets: dict[tuple[int, ...], AlphaPoly] = {}
+    counts: dict[tuple[int, ...], dict[int, int]] = {}  # {content: {mask: fillings}}
     for values, _maj, _inv, _arm_des, mask in non_attacking_fillings(mu):
         vec = [0] * n
         for val in values:
             vec[val - 1] += 1
-        key = tuple(vec)
-        prior = buckets.get(key)
-        buckets[key] = weight_by_mask[mask] if prior is None else prior + weight_by_mask[mask]
+        by_mask = counts.setdefault(tuple(vec), {})
+        by_mask[mask] = by_mask.get(mask, 0) + 1
 
-    return monomial_from_contents(buckets, n, AlphaPoly, lambda value: value)
+    return monomial_from_contents(counts, n, AlphaPoly, lambda by_mask: _weighted_sum(weight_by_mask, by_mask))
 
 
 def jack_chromatic(mu) -> SymFunc:
@@ -65,18 +85,35 @@ def jack_chromatic(mu) -> SymFunc:
     where G is the attacking graph, added edge i is the down-edge of a cell
     with hook h_i, and w(H) = prod over added edges of in_i = -h_i (edge in
     H) or out_i = 1 + h_i (not).  Every X_H is read off one coloring census
-    of G in one ``from_census`` call, which audits each H for symmetry.
+    of G in one ``from_census`` call, which audits each H for symmetry; the
+    integer X_H(x; 1) coefficients are gathered per (content, mask) and each
+    is weighted once.
     """
     mu = check_partition(mu)
     data = attacking_data(mu)
     hooks = [hook_alpha(arm_u, leg_u) for (_, arm_u, leg_u) in data.down_edges]
     weights = mask_products(AlphaPoly.one(), [(AlphaPoly.one() + hook, -hook) for hook in hooks])
     census = coloring_census(data.g, [edge for edge, _, _ in data.down_edges])
-    total = SymFunc(sum(mu), "monomial", {}, AlphaPoly)
-    for weight, x in zip(weights, from_census(census)):
-        # X_H(x; 1): each coefficient's ascent polynomial at t = 1
-        total = total + x.map_coeffs(lambda c: weight.scale(sum(c.terms.values())), AlphaPoly)
-    return total
+    counts: dict[tuple[int, ...], dict[int, int]] = {}  # {lam: {mask: [m_lam] X_H(x; 1)}}
+    for mask, x in enumerate(from_census(census)):
+        for lam, c in x.coeffs.items():
+            # X_H(x; 1): the coefficient's ascent polynomial at t = 1
+            counts.setdefault(lam, {})[mask] = sum(c.terms.values())
+    return SymFunc(sum(mu), "monomial",
+                   {lam: _weighted_sum(weights, by_mask) for lam, by_mask in counts.items()}, AlphaPoly)
+
+
+def _weight_of_places(places) -> AlphaPoly:
+    """The product over (place, arm(u), leg(u)) per down-edge {u, v}
+    (``_down_edge_places``) of 1+hook(u) when u sits immediately left of v,
+    -hook(u) when u sits immediately above v, and 1 otherwise."""
+    weight = AlphaPoly.one()
+    for place, arm_u, leg_u in places:
+        if place == "left":
+            weight = weight * (AlphaPoly.one() + hook_alpha(arm_u, leg_u))
+        elif place == "top":
+            weight = weight * (-hook_alpha(arm_u, leg_u))
+    return weight
 
 
 def wt_alpha(mu, rows) -> AlphaPoly:
@@ -85,22 +122,18 @@ def wt_alpha(mu, rows) -> AlphaPoly:
     Per down-edge {u, v}: multiply by 1+hook(u) when u sits immediately left
     of v, by -hook(u) when u sits immediately above v, and by 1 otherwise.
     """
-    weight = AlphaPoly.one()
-    for place, arm_u, leg_u in _down_edge_places(tuple(mu), rows):
-        if place == "left":
-            weight = weight * (AlphaPoly.one() + hook_alpha(arm_u, leg_u))
-        elif place == "top":
-            weight = weight * (-hook_alpha(arm_u, leg_u))
-    return weight
+    return _weight_of_places(_down_edge_places(tuple(mu), rows))
 
 
 def jack_schur(mu) -> SymFunc:
-    """Integral form tableau formula, Schur basis."""
+    """Integral form tableau formula, Schur basis.  Tableaux are counted per
+    (shape, down-edge place vector), and each vector is weighted once."""
     mu = check_partition(mu)
+    counts = Counter((lam, tuple(_down_edge_places(mu, rows))) for lam, rows in ift_enumerate(mu))
     coeffs: dict[tuple[int, ...], AlphaPoly] = {}
-    for lam, rows in ift_enumerate(mu):
-        w = wt_alpha(mu, rows)
-        coeffs[lam] = coeffs.get(lam, AlphaPoly.zero()) + w
+    for (lam, places), count in counts.items():
+        term = _weight_of_places(places).scale(count)
+        coeffs[lam] = coeffs[lam] + term if lam in coeffs else term
     return SymFunc(sum(mu), "schur", coeffs, AlphaPoly)
 
 
@@ -112,26 +145,30 @@ def jack_power(mu) -> SymFunc:
     sum of its component sizes.  Signing by the full edge count with negated
     hooks is the same term for every S, since
     (-1)^|S| prod_{e in S-G} (-h_e) = (-1)^|S cap G| prod_{e in S-G} h_e.
+    Subsets are counted per (component partition, added-edge mask), +1 for
+    an even overlap and -1 for an odd one, and each mask's product of hooks
+    is read from one table.
     """
     mu = check_partition(mu)
     n = sum(mu)
     data = attacking_data(mu)
-    hooks = {edge: hook_alpha(arm_u, leg_u) for edge, arm_u, leg_u in data.down_edges}
+    bit_of = {edge: 1 << i for i, (edge, _, _) in enumerate(data.down_edges)}
+    hooks_by_mask = mask_products(AlphaPoly.one(), [
+        (AlphaPoly.one(), hook_alpha(arm_u, leg_u)) for _, arm_u, leg_u in data.down_edges
+    ])
     g_edges = data.g.edge_set()
     edges = data.g_plus.edges
-    coeffs: dict[tuple[int, ...], AlphaPoly] = {}
+    counts: dict[tuple[int, ...], dict[int, int]] = {}  # {lam: {added mask: signed subsets}}
     for mask in range(1 << len(edges)):
         subset = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        weight = AlphaPoly.one()
-        overlap = 0
+        added = 0
+        sign = 1
         for edge in subset:
             if edge in g_edges:
-                overlap += 1
+                sign = -sign
             else:
-                weight = weight * hooks[edge]
-        if overlap % 2:
-            weight = -weight
-        lam = component_partition(UGraph(n, subset))
-        prior = coeffs.get(lam)
-        coeffs[lam] = weight if prior is None else prior + weight
-    return SymFunc(n, "power", coeffs, AlphaPoly)
+                added |= bit_of[edge]
+        by_added = counts.setdefault(component_partition(UGraph(n, subset)), {})
+        by_added[added] = by_added.get(added, 0) + sign
+    return SymFunc(n, "power", {lam: _weighted_sum(hooks_by_mask, by_added) for lam, by_added in counts.items()},
+                   AlphaPoly)

@@ -3,19 +3,27 @@
 Two rings cover every computation in the package, and one sparse
 implementation serves both:
 
-* ``LaurentQT`` -- Laurent polynomials in q and t over arbitrary-precision
-  rationals (``fractions.Fraction``);
+* ``LaurentQT`` -- Laurent polynomials in q and t over the rationals;
 * ``AlphaPoly`` -- polynomials in the deformation parameter (printed ``a``)
   over the rationals.  It is the one-variable case of ``LaurentQT``'s code
   and adds only that exponents are nonnegative, and evaluation.
 
 A value maps exponent tuples, one entry per variable (``(q_exp, t_exp)``,
-or ``(a_exp,)``), to nonzero Fractions.  Construction, arithmetic,
-equality, hashing, parsing and printing all live in ``LaurentQT``'s class
-body and read the variables off the class.  Values are immutable after
-construction and safe to share across threads.  Canonical printing orders
-terms by ascending exponent tuple (q before t), so string output is
-deterministic.
+or ``(a_exp,)``), to nonzero coefficients, each an ``int`` or a
+``fractions.Fraction``.  Values built from ints (``one``, ``from_int``,
+``term`` and dicts of ints, and their sums, products and integer scalings)
+hold ints, so integer weights stay in integer arithmetic; a ``Fraction``
+enters only through a division (1/z_lam, a non-unit pivot), through
+``parse``, which reads every coefficient as a ``Fraction``, or as an
+argument, and an operation with a ``Fraction`` operand gives a ``Fraction``.
+``exact_div`` quotients and ``AlphaPoly.substitute`` values are ints when
+integral.  An ``int`` and the ``Fraction`` of the same value compare and
+hash equal, so equality never depends on which one is stored.
+Construction, arithmetic, equality, hashing, parsing and printing all live
+in ``LaurentQT``'s class body and read the variables off the class.  Values
+are immutable after construction and safe to share across threads.
+Canonical printing orders terms by ascending exponent tuple (q before t),
+so string output is deterministic.
 
 ``mask_products`` is the one table of per-down-edge weight products by
 subset mask that the filling and chromatic routes read.
@@ -32,7 +40,6 @@ from operator import add, sub
 # this, but every constructed value is checked so silent wraparound can never
 # occur if the code is ever ported to fixed-width arithmetic.
 _EXP_BOUND = 1 << 31
-_ZERO = Fraction(0)
 
 _RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 _VAR_RE = re.compile(r"^([a-zA-Z])(?:\^(-?\d+))?$")
@@ -42,12 +49,18 @@ class InexactDivision(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-def _as_fraction(c) -> Fraction:
+def _as_coeff(c):
+    """c as a coefficient: an ``int`` or a ``Fraction``."""
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _exact(c: Fraction):
+    """An exact quotient as an ``int`` when integral, else the ``Fraction``."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _parse_term(token: str, varnames: tuple[str, ...]):
@@ -109,10 +122,11 @@ def _parse_expr(text: str, varnames: tuple[str, ...]):
 class LaurentQT:
     """Laurent polynomial in q and t with rational coefficients.
 
-    Terms are stored sparsely as ``{(q_exp, t_exp): Fraction}`` with no zero
-    coefficients.  Instances are immutable; all operations return new values
-    of the operands' class, so subclasses over other variables (``VARS``)
-    and another lowest exponent (``_MIN_EXP``) share every method.
+    Terms are stored sparsely as ``{(q_exp, t_exp): coefficient}`` with no
+    zero coefficients; a coefficient is an ``int`` or a ``Fraction``.
+    Instances are immutable; all operations return new values of the
+    operands' class, so subclasses over other variables (``VARS``) and
+    another lowest exponent (``_MIN_EXP``) share every method.
     """
 
     __slots__ = ("_terms",)
@@ -120,11 +134,11 @@ class LaurentQT:
     _MIN_EXP = 1 - _EXP_BOUND
 
     def __init__(self, terms=None):
-        tidy: dict[tuple[int, ...], Fraction] = {}
+        tidy: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for key, c in terms.items():
-                if c.__class__ is not Fraction:
-                    c = _as_fraction(c)
+                if c.__class__ is not int and c.__class__ is not Fraction:
+                    c = _as_coeff(c)
                 if c:
                     tidy[key] = c
         if tidy:
@@ -151,23 +165,23 @@ class LaurentQT:
 
     @classmethod
     def one(cls):
-        return cls({(0,) * len(cls.VARS): Fraction(1)})
+        return cls({(0,) * len(cls.VARS): 1})
 
     @classmethod
     def from_int(cls, n):
-        return cls({(0,) * len(cls.VARS): Fraction(n)})
+        return cls({(0,) * len(cls.VARS): n})
 
     @classmethod
     def term(cls, coeff, *exps: int):
         """``coeff`` times the monomial with these exponents (missing ones 0)."""
-        return cls({exps + (0,) * (len(cls.VARS) - len(exps)): _as_fraction(coeff)})
+        return cls({exps + (0,) * (len(cls.VARS) - len(exps)): coeff})
 
     @classmethod
     def parse(cls, text: str):
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for coeff, exps in _parse_expr(text, cls.VARS):
             key = tuple(exps.get(name, 0) for name in cls.VARS)
-            terms[key] = terms.get(key, _ZERO) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         return cls(terms)
 
     # -- inspection --------------------------------------------------------
@@ -196,7 +210,7 @@ class LaurentQT:
     def __add__(self, other):
         acc = dict(self._terms)
         for key, c in other._terms.items():
-            s = acc.get(key, _ZERO) + c
+            s = acc.get(key, 0) + c
             if s:
                 acc[key] = s
             else:
@@ -209,7 +223,7 @@ class LaurentQT:
     def __sub__(self, other):
         acc = dict(self._terms)
         for key, c in other._terms.items():
-            s = acc.get(key, _ZERO) - c
+            s = acc.get(key, 0) - c
             if s:
                 acc[key] = s
             else:
@@ -217,11 +231,11 @@ class LaurentQT:
         return self.__class__(acc)
 
     def __mul__(self, other):
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for k1, c in self._terms.items():
             for k2, d in other._terms.items():
                 key = tuple(map(add, k1, k2))
-                s = acc.get(key, _ZERO) + c * d
+                s = acc.get(key, 0) + c * d
                 if s:
                     acc[key] = s
                 else:
@@ -229,7 +243,7 @@ class LaurentQT:
         return self.__class__(acc)
 
     def scale(self, scalar):
-        scalar = _as_fraction(scalar)
+        scalar = _as_coeff(scalar)
         if scalar == 0:
             return self.__class__()
         return self.__class__({key: c * scalar for key, c in self._terms.items()})
@@ -261,12 +275,12 @@ class LaurentQT:
         other variable to the power ``exp``."""
         if sign not in (1, -1):
             raise ValueError("substitution image must have coefficient +1 or -1")
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for key, c in self._terms.items():
             e = key[var]
             kept = key[1 - var] + e * exp
             image = (0, kept) if var == 0 else (kept, 0)
-            s = acc.get(image, _ZERO) + (-c if sign < 0 and e % 2 else c)
+            s = acc.get(image, 0) + (-c if sign < 0 and e % 2 else c)
             if s:
                 acc[image] = s
             else:
@@ -293,17 +307,17 @@ class LaurentQT:
         den = {tuple(map(sub, key, vd)): c for key, c in divisor._terms.items()}
         lead_d = max(den)
         lead_dc = den[lead_d]
-        quot: dict[tuple[int, ...], Fraction] = {}
+        quot: dict[tuple[int, ...], int | Fraction] = {}
         while rem:
             lead_r = max(rem)
             shift = tuple(map(sub, lead_r, lead_d))
             if min(shift) < 0:
                 raise InexactDivision("remainder nonzero")
-            factor = rem[lead_r] / lead_dc
+            factor = _exact(Fraction(rem[lead_r], lead_dc))
             quot[shift] = factor
             for key, c in den.items():
                 key = tuple(map(add, key, shift))
-                s = rem.get(key, _ZERO) - factor * c
+                s = rem.get(key, 0) - factor * c
                 if s:
                     rem[key] = s
                 else:
@@ -325,7 +339,7 @@ class LaurentQT:
             return True
         lo = min(tb for _, tb in self._terms)
         hi = max(tb for _, tb in self._terms)
-        seq = [self._terms.get((0, tb), _ZERO) for tb in range(lo, hi + 1)]
+        seq = [self._terms.get((0, tb), 0) for tb in range(lo, hi + 1)]
         return seq == seq[::-1]
 
     # -- printing ----------------------------------------------------------
@@ -355,7 +369,8 @@ class LaurentQT:
 
 class AlphaPoly(LaurentQT):
     """Polynomial over the rationals in the parameter ``a``, stored as
-    ``{(a_exp,): Fraction}``; negative exponents are rejected.
+    ``{(a_exp,): coefficient}`` (an ``int`` or a ``Fraction``); negative
+    exponents are rejected.
 
     The q,t-specific methods (``substitute_q``/``substitute_t``,
     ``is_palindromic_in_t``) do not apply to it.
@@ -365,10 +380,11 @@ class AlphaPoly(LaurentQT):
     VARS = ("a",)
     _MIN_EXP = 0
 
-    def substitute(self, value) -> Fraction:
-        """Evaluate at a rational value of the parameter."""
-        value = _as_fraction(value)
-        return sum((c * value**e for (e,), c in self._terms.items()), _ZERO)
+    def substitute(self, value) -> int | Fraction:
+        """Evaluate at a rational value of the parameter: an ``int`` if the
+        value is integral, else a ``Fraction``."""
+        value = _as_coeff(value)
+        return _exact(Fraction(sum(c * value**e for (e,), c in self._terms.items())))
 
 
 def mask_products(one, pairs) -> list:

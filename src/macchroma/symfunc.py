@@ -258,7 +258,7 @@ def _solve(f: SymFunc, matrix, order, basis: str) -> SymFunc:
         for mu, k in zip(table.partitions, matrix[i]):
             if k and mu != lam:
                 prior = residue.get(mu, f.ring.zero())
-                residue[mu] = prior - c.scale(Fraction(k))
+                residue[mu] = prior - c.scale(k)
     if any(not v.is_zero() for v in residue.values()):
         raise IdentityViolation(f"monomial to {basis} back-substitution left a residue in degree {f.degree}")
     return SymFunc(f.degree, basis, out, f.ring)
@@ -291,6 +291,6 @@ def omega(f: SymFunc) -> SymFunc:
         out = {}
         for lam, c in f.coeffs.items():
             sign = (f.degree - len(lam)) % 2
-            out[lam] = c.scale(Fraction(-1)) if sign else c
+            out[lam] = -c if sign else c
         return SymFunc(f.degree, "power", out, f.ring)
     raise ValueError("convert first")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from macchroma.chromatic import IdentityViolation, coloring_census, from_census
-from macchroma.graphs import attacking_data
+from macchroma.graphs import UGraph, attacking_data, component_partition
 from macchroma.jack import (
     hook_alpha,
     jack_chromatic,
@@ -12,7 +12,7 @@ from macchroma.jack import (
     jack_schur,
     wt_alpha,
 )
-from macchroma.macdonald import ift_enumerate
+from macchroma.macdonald import _down_edge_places, ift_enumerate, non_attacking_fillings
 from macchroma.rings import AlphaPoly
 from macchroma.shapes import conjugate, partitions_of
 from macchroma.symfunc import SymFunc, convert
@@ -107,6 +107,78 @@ def test_jack_chromatic_matches_sum_over_sandwich_graphs():
     for n in range(1, 6):
         for mu in partitions_of(n):
             assert jack_chromatic(mu) == _jack_chromatic_by_sandwich_graphs(mu), mu
+
+
+def _jack_knop_sahi_by_filling(mu):
+    """The filling formula one filling at a time: a filling weighs the
+    product of 1 + hook over the down-edges whose two cells hold equal
+    values, and lands on m_lam when its content is lam padded with zeros."""
+    n = sum(mu)
+    down_edges = attacking_data(mu).down_edges
+    coeffs = {}
+    for values, _maj, _inv, _arm_des, _mask in non_attacking_fillings(mu):
+        content = [values.count(val) for val in range(1, n + 1)]
+        if content != sorted(content, reverse=True):
+            continue
+        weight = AlphaPoly.one()
+        for (u, v), arm_u, leg_u in down_edges:
+            if values[u - 1] == values[v - 1]:
+                weight = weight * (AlphaPoly.one() + hook_alpha(arm_u, leg_u))
+        lam = tuple(part for part in content if part)
+        coeffs[lam] = coeffs.get(lam, AlphaPoly.zero()) + weight
+    return SymFunc(n, "monomial", coeffs, AlphaPoly)
+
+
+def _jack_schur_by_tableau(mu):
+    """The tableau formula one tableau at a time, each weight multiplied out
+    from the tableau's down-edge places."""
+    coeffs = {}
+    for lam, rows in ift_enumerate(mu):
+        weight = AlphaPoly.one()
+        for place, arm_u, leg_u in _down_edge_places(mu, rows):
+            if place == "left":
+                weight = weight * (AlphaPoly.one() + hook_alpha(arm_u, leg_u))
+            elif place == "top":
+                weight = weight * -hook_alpha(arm_u, leg_u)
+        coeffs[lam] = coeffs.get(lam, AlphaPoly.zero()) + weight
+    return SymFunc(sum(mu), "schur", coeffs, AlphaPoly)
+
+
+def _jack_power_by_edge_subset(mu):
+    """The edge-subset formula one subset S of G+ at a time:
+    (-1)^|S cap G| times the hooks of the added edges in S, on p of the
+    component sizes of S."""
+    n = sum(mu)
+    data = attacking_data(mu)
+    hooks = {edge: hook_alpha(arm_u, leg_u) for edge, arm_u, leg_u in data.down_edges}
+    edges = data.g_plus.edges
+    coeffs = {}
+    for mask in range(1 << len(edges)):
+        subset = [edges[i] for i in range(len(edges)) if mask >> i & 1]
+        weight = AlphaPoly.one()
+        for edge in subset:
+            weight = weight * (hooks[edge] if edge in hooks else AlphaPoly.from_int(-1))
+        lam = component_partition(UGraph(n, subset))
+        coeffs[lam] = coeffs.get(lam, AlphaPoly.zero()) + weight
+    return SymFunc(n, "power", coeffs, AlphaPoly)
+
+
+def test_jack_knop_sahi_matches_sum_over_fillings():
+    for n in range(6):
+        for mu in partitions_of(n):
+            assert jack_knop_sahi(mu) == _jack_knop_sahi_by_filling(mu), mu
+
+
+def test_jack_schur_matches_sum_over_tableaux():
+    for n in range(6):
+        for mu in partitions_of(n):
+            assert jack_schur(mu) == _jack_schur_by_tableau(mu), mu
+
+
+def test_jack_power_matches_sum_over_edge_subsets():
+    for n in range(6):
+        for mu in partitions_of(n):
+            assert jack_power(mu) == _jack_power_by_edge_subset(mu), mu
 
 
 def test_jack_chromatic_checks_reversed_contents(monkeypatch):

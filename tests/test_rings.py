@@ -189,3 +189,113 @@ def test_immutability():
     a = A("1 + a")
     with pytest.raises(AttributeError):
         a._terms = {}
+
+
+# -- integer coefficients ----------------------------------------------------
+
+def _coefficients(value):
+    return list(value.terms.values())
+
+
+def test_values_built_from_ints_hold_ints():
+    one_minus_t = LaurentQT.one() - LaurentQT.term(1, 0, 1)
+    one_minus_qt = LaurentQT.one() - LaurentQT.term(1, 1, 1)
+    hook = AlphaPoly({(1,): 2, (0,): 1})
+    built = [
+        one_minus_t * one_minus_qt,
+        LaurentQT({(0, 0): 3, (1, -1): -2}) ** 3,
+        LaurentQT.term(5, 1, -2) + LaurentQT.one() - LaurentQT.from_int(7),
+        one_minus_qt.scale(4),
+        -LaurentQT({(0, 0): 2, (0, 1): -1}).substitute_q(-1, 3),
+        (one_minus_t * one_minus_qt).substitute_t(1, 2),
+        (one_minus_t * one_minus_qt).exact_div(one_minus_qt),
+        LaurentQT({(0, 0): 6, (0, 1): 6}).exact_div(LaurentQT({(0, 0): 3, (0, 1): 3})),
+        hook * (AlphaPoly.one() - hook) + AlphaPoly.from_int(2),
+    ]
+    built += mask_products(AlphaPoly.one(), [(AlphaPoly.one(), hook), (AlphaPoly.one() + hook, -hook)])
+    rng = random.Random(2020)
+    for _ in range(100):
+        a, b = random_alpha(rng), random_alpha(rng)
+        built.append(((a + b) * (a - b.scale(3)) ** 2).scale(rng.choice([-1, 2])) + AlphaPoly.one())
+    for value in built:
+        assert not value.is_zero()
+        assert all(type(c) is int for c in _coefficients(value)), value
+    # an operation with a Fraction operand gives Fractions; parse reads Fractions
+    assert all(type(c) is Fraction for c in _coefficients(one_minus_t.scale(Fraction(1, 2))))
+    assert all(type(c) is Fraction for c in _coefficients(P("1 - t")))
+    assert type(A("2 - 2*a^2").substitute(1)) is int
+    assert type(hook.substitute(Fraction(4, 2))) is int
+    assert A("2 - 2*a^2").substitute(Fraction(1, 2)) == Fraction(3, 2)
+    assert type(A("1/2 + a").substitute(0)) is Fraction
+    with pytest.raises(TypeError):
+        LaurentQT.term(0.5, 1, 0)
+    with pytest.raises(TypeError):
+        one_minus_t.scale(2.0)
+
+
+def test_int_and_integral_fraction_coefficients_compare_and_hash_equal():
+    pairs = [
+        (LaurentQT({(1, -1): 3, (0, 2): -4}), LaurentQT({(1, -1): Fraction(3), (0, 2): Fraction(-8, 2)})),
+        (LaurentQT.one() - LaurentQT.term(1, 0, 1), P("1 - t")),
+        ((LaurentQT.one() - LaurentQT.term(1, 0, 1)).scale(2), P("1 - t").scale(2)),
+        (AlphaPoly({(2,): 5}), AlphaPoly({(2,): Fraction(10, 2)})),
+        (AlphaPoly.from_int(1) + AlphaPoly.term(2, 1), A("1 + 2*a")),
+        (LaurentQT.from_int(1), LaurentQT.term(Fraction(1))),
+    ]
+    for a, b in pairs:
+        assert {type(c) for c in _coefficients(a)} == {int}
+        assert {type(c) for c in _coefficients(b)} == {Fraction}
+        assert a == b and b == a and hash(a) == hash(b) and str(a) == str(b)
+        assert len({a, b}) == 1
+        assert a + b == a.scale(2) and (a - b).is_zero()
+    assert P("1/2 + t") != LaurentQT.one() + LaurentQT.term(1, 0, 1)
+
+
+def test_exact_div_non_unit_leading_coefficient_is_exact():
+    quotient = P("1 + t").exact_div(P("2 + 2*t"))
+    assert quotient == LaurentQT.term(Fraction(1, 2))
+    assert [type(c) for c in _coefficients(quotient)] == [Fraction]
+    quotient = P("3 + 6*t + 3*t^2").exact_div(P("3 + 3*t"))
+    assert quotient == P("1 + t") and all(type(c) is int for c in _coefficients(quotient))
+    quotient = P("1 + 2*t + t^2").exact_div(P("3 + 3*t"))
+    assert quotient == P("1/3 + 1/3*t")
+    assert all(type(c) is Fraction for c in _coefficients(quotient))
+    with pytest.raises(InexactDivision):
+        P("1 + t^2").exact_div(P("2 + 2*t"))
+    with pytest.raises(InexactDivision):
+        P("1 + 3*q*t").exact_div(P("3 + q"))
+    rng = random.Random(3131)
+    for _ in range(300):
+        a = LaurentQT({(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-9, 9) for _ in range(3)})
+        d = LaurentQT({(rng.randint(-3, 3), rng.randint(-3, 3)): rng.choice([-6, -4, 2, 3, 5, 9])
+                       for _ in range(rng.randint(1, 3))})
+        quotient = (a * d).exact_div(d)
+        assert quotient == a and all(type(c) is int for c in _coefficients(quotient))
+        quotient = (a * d).exact_div(d.scale(6))
+        assert quotient == a.scale(Fraction(1, 6))
+        assert all(type(c) in (int, Fraction) for c in _coefficients(quotient))
+
+
+def test_route_outputs_hold_no_float():
+    from macchroma import chromatic, jack, macdonald
+    from macchroma.graphs import attacking_data
+    from macchroma.shapes import partitions_of
+
+    for n in range(5):
+        for mu in partitions_of(n):
+            g = attacking_data(mu).g
+            jack_outputs = [route(mu) for route in (
+                jack.jack_knop_sahi, jack.jack_chromatic, jack.jack_schur, jack.jack_power)]
+            outputs = jack_outputs + [route(mu) for route in (
+                macdonald.j_hhl, macdonald.j_chromatic, macdonald.j_schur, macdonald.j_power)]
+            outputs += [route(g) for route in (
+                chromatic.x_g, chromatic.x_g_schur, chromatic.x_g_power,
+                chromatic.llt_g, chromatic.llt_power_tilde)]
+            for f in outputs:
+                for c in f.coeffs.values():
+                    assert all(type(x) in (int, Fraction) for x in _coefficients(c)), (mu, f)
+            # the Jack weights are built from ints, and only 1/z_lam is rational
+            for f in jack_outputs:
+                if f.basis != "power":
+                    for c in f.coeffs.values():
+                        assert all(type(x) is int for x in _coefficients(c)), (mu, f)
