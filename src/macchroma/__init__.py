@@ -18,6 +18,7 @@ from .graphs import (
     attacking_data,
     colorings,
     component_partition,
+    hessenberg,
     is_claw_free,
     sandwich_graphs,
 )

@@ -4,9 +4,9 @@ Expansion routes implemented here:
 
 * monomial basis by direct enumeration of proper colorings with palette n,
   ascent-weighted (``x_g``), plus the all-colorings variant (``llt_g``);
-* Schur basis through graph tableaux for claw-free graphs (``x_g_schur``);
-* power sum basis through block permutations free of graph descents and of
-  nontrivial left-to-right graph maxima (``x_g_power``).
+* Schur basis through graph tableaux (``x_g_schur``), and power sum basis
+  through block permutations free of graph descents and of nontrivial
+  left-to-right graph maxima (``x_g_power``), for natural unit interval graphs.
 
 One generator, ``_block_sequences``, enumerates the block permutation sets
 N_lambda (``n_lambda``), the LLT sets N~_lambda (``n_tilde``) and the graph
@@ -49,10 +49,10 @@ from functools import lru_cache, partial
 from math import factorial
 from typing import NamedTuple
 
-from .graphs import IdentityViolation, UGraph, colorings, is_claw_free
+from .graphs import IdentityViolation, UGraph, colorings, hessenberg
 from .rings import LaurentQT
 from .shapes import partitions_of
-from .symfunc import SymFunc, convert, monomial_from_contents, omega, z_of
+from .symfunc import SymFunc, monomial_from_contents, omega, power_pairings, z_of
 
 __all__ = [
     "IdentityViolation",
@@ -234,9 +234,8 @@ def tableau_inv(rows, graph: UGraph) -> int:
 
 
 def x_g_schur(h: UGraph) -> SymFunc:
-    """Schur expansion of X_H(x;t) via graph tableaux; requires claw-free H."""
-    if not is_claw_free(h):
-        raise ValueError("graph has an induced claw; Schur tableau expansion needs claw-free input")
+    """Schur expansion of X_H(x;t) via graph tableaux; H must pass ``graphs.hessenberg``."""
+    hessenberg(h)
     coeffs = {lam: _t_poly(Counter(tableau_inv(rows, h) for rows in graph_tableaux(lam, h, h)))
               for lam in partitions_of(h.n)}
     return SymFunc(h.n, "schur", coeffs, LaurentQT)
@@ -338,8 +337,17 @@ def perm_inv(h: UGraph, sigma) -> int:
 
 
 def _inversion_sum(h: UGraph, perms) -> LaurentQT:
-    """Sum of t^perm_inv over a list of block permutations (sigma tuples)."""
-    return _t_poly(Counter(perm_inv(h, sigma) for sigma in perms))
+    """Sum of t^perm_inv over a list of block permutations (sigma tuples), in
+    one pass per sigma: a value's inversions are its higher neighbours seen."""
+    higher = [0] + [sum(1 << w for w in h.neighbors(v) if w > v) for v in range(1, h.n + 1)]
+    hist = Counter()
+    for sigma in perms:
+        seen = inv = 0
+        for v in sigma:
+            inv += (seen & higher[v]).bit_count()
+            seen |= 1 << v
+        hist[inv] += 1
+    return _t_poly(hist)
 
 
 def _omega_power(n: int, coeff) -> SymFunc:
@@ -351,8 +359,9 @@ def _omega_power(n: int, coeff) -> SymFunc:
 
 
 def x_g_power(h: UGraph) -> SymFunc:
-    """Power sum expansion of X_H(x;t): the N_lambda sums give omega X_H,
-    and omega is applied here."""
+    """Power sum expansion of X_H(x;t), for H that passes ``graphs.hessenberg``:
+    the N_lambda sums give omega X_H, and omega is applied here."""
+    hessenberg(h)
     return _omega_power(h.n, lambda lam: _inversion_sum(h, n_lambda(h, lam)))
 
 
@@ -389,7 +398,7 @@ def _lambda_factors(lam) -> tuple[LaurentQT, LaurentQT, LaurentQT]:
     partition lam of n, built once per lam; the values are immutable, so
     every sandwich graph shares them.  The cache holds the last 256
     partitions, every partition of n <= 10."""
-    t_minus_1 = LaurentQT.parse("-1 + t")
+    t_minus_1 = LaurentQT({(0, 0): -1, (0, 1): 1})
     analogue = LaurentQT.one()
     den = LaurentQT.one()
     for part in lam:
@@ -399,8 +408,9 @@ def _lambda_factors(lam) -> tuple[LaurentQT, LaurentQT, LaurentQT]:
 
 
 def llt_power_tilde(h: UGraph) -> SymFunc:
-    """LLT_H in the power basis from the tilde permutation sets, which give
-    omega LLT_H; omega is applied here."""
+    """LLT_H in the power basis, for H that passes ``graphs.hessenberg``, from
+    the tilde permutation sets, which give omega LLT_H; omega is applied here."""
+    hessenberg(h)
     return _omega_power(h.n, lambda lam: _lambda_factors(lam)[0] * _inversion_sum(h, n_tilde(h, lam)))
 
 
@@ -419,25 +429,26 @@ def verify_plethysm(h: UGraph, llt: SymFunc, x: SymFunc) -> bool:
       4. each xp_lam is exactly divisible by the product of the t-analogues
          of the parts (as the N_lambda inversion sum is; a rational unit
          does not change that).
+    Coefficients are read times z_lam (``power_pairings``), on integers.
     """
     n = h.n
-    llt_power = convert(llt, "power")
-    tilde = llt_power_tilde(h)
-    xp = x_g_power(h)
-    x_power = convert(x, "power")
+    llt_power = power_pairings(llt)
+    tilde = power_pairings(llt_power_tilde(h))
+    xp = power_pairings(x_g_power(h))
+    x_power = power_pairings(x)
     t_minus_1_to_n = _lambda_factors((1,) * n)[2]  # prod (t^1 - 1) over n parts
 
     for lam in partitions_of(n):
-        want = llt_power.get(lam)
+        want = llt_power[lam]
         t_minus_1_power, analogue, den = _lambda_factors(lam)
-        if tilde.get(lam) != want or xp.get(lam) * t_minus_1_power != want * analogue:
+        if tilde[lam] != want or xp[lam] * t_minus_1_power != want * analogue:
             return False
         # plethystic identity LLT = (t-1)^n X[x/(t-1)], as
         # LLT_lambda * prod (t^part - 1) = X_lambda * (t-1)^n
-        if want * den != x_power.get(lam) * t_minus_1_to_n:
+        if want * den != x_power[lam] * t_minus_1_to_n:
             return False
         try:
-            xp.get(lam).exact_div(analogue)
+            xp[lam].exact_div(analogue)
         except ArithmeticError:
             return False
     return True

@@ -174,6 +174,17 @@ def colorings(h: UGraph, palette: int, proper: bool = True):
     yield from assign(1, 0)
 
 
+def hessenberg(h: UGraph) -> tuple:
+    """(h(1), ..., h(n)) for a natural unit interval graph in its labels: i
+    is joined to exactly i+1, ..., h(i) above it, and h weakly increases.
+    Any other graph raises ``ValueError``."""
+    tops = tuple(max([v, *(w for w in h.neighbors(v) if w > v)]) for v in range(1, h.n + 1))
+    # every edge {i < j} has j <= h(i), so the edges are all of those pairs iff they are as many
+    if list(tops) != sorted(tops) or len(h.edges) != sum(top - v for v, top in enumerate(tops, start=1)):
+        raise ValueError(f"{h} is not a natural unit interval graph in its labels")
+    return tops
+
+
 def is_claw_free(h: UGraph) -> bool:
     """True when no vertex has three pairwise non-adjacent neighbors."""
     for v in range(1, h.n + 1):

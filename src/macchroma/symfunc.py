@@ -10,12 +10,13 @@ are exact and cached per degree in a ``TransitionTable``:
   the ways to merge the parts of lam into the parts of mu (Stanley,
   *Enumerative Combinatorics* Vol. 2, Prop. 7.7.1; Macdonald, *Symmetric
   Functions and Hall Polynomials*, Ch. I Section 6),
-* monomial -> Schur and monomial -> power by back-substitution on the same
-  two matrices, each triangular in lexicographic order: the Kostka matrix
-  is unitriangular in descending order (a linear extension of dominance),
-  and R is triangular in ascending order, since p_lam reaches only the m_mu
-  with mu coarser than lam.  Only R's integer diagonal is divided by; there
-  is no rational inverse.  A nonzero residue raises ``IdentityViolation``.
+* monomial -> Schur by back-substitution on the Kostka matrix, unitriangular
+  in descending lexicographic order (a linear extension of dominance); a
+  nonzero residue raises ``IdentityViolation``,
+* monomial -> power through the integer table of pairings <m_mu, p_lam>
+  = z_lam [p_lam] m_mu (Macdonald, I Sections 4-6), built on first use by
+  ``hall_table``: ``power_pairings`` takes every <f, p_lam> on integers, and
+  the one division is the final 1/z_lam per coefficient.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .rings import AlphaPoly, LaurentQT
 from .shapes import IdentityViolation, conjugate, partitions_of
@@ -221,29 +223,47 @@ def transition_table(n: int) -> TransitionTable:
     return TransitionTable(n)
 
 
+@lru_cache(maxsize=16)
+def hall_table(n: int) -> list:
+    """The integers <m_mu, p_lam> = [h_mu] p_lam of degree n, indexed [mu][lam];
+    column lam solves sum_nu R[kappa][nu] <m_nu, p_lam> = z_lam [kappa == lam]
+    in partition order, where R is triangular.  It holds the last 16 degrees."""
+    table = transition_table(n)
+    columns = []
+    for lam in table.partitions:
+        col = []
+        for kappa, merge in zip(table.partitions, table.power_to_monomial):
+            rest = (z_of(lam) if kappa == lam else 0) - sum(map(mul, col, merge))
+            entry, remainder = divmod(rest, merge[len(col)])
+            if remainder:
+                raise IdentityViolation(f"<m_{kappa}, p_{lam}> is not an integer")
+            col.append(entry)
+        columns.append(col)
+    return list(zip(*columns))
+
+
 # ---------------------------------------------------------------------------
 # Basis conversion and omega
 # ---------------------------------------------------------------------------
 
-def _apply(f: SymFunc, matrix, basis: str) -> SymFunc:
-    """Multiply f's coefficients by a transition matrix indexed [source][target]."""
+def _apply(f: SymFunc, matrix) -> dict:
+    """{mu: sum over lam of f_lam * matrix[lam][mu]} for every partition mu,
+    for a matrix indexed [source][target], with ints where integral."""
     table = transition_table(f.degree)
-    out: dict[tuple[int, ...], object] = {}
+    acc = {mu: {} for mu in table.partitions}
     for lam, c in f.coeffs.items():
         for mu, k in zip(table.partitions, matrix[table.index[lam]]):
             if k:
-                term = c.scale(k)
-                out[mu] = out[mu] + term if mu in out else term
-    return SymFunc(f.degree, basis, out, f.ring)
+                terms = acc[mu]
+                for key, d in c.terms.items():
+                    terms[key] = terms.get(key, 0) + k * d
+    return {mu: f.ring({key: d.numerator if d.denominator == 1 else d for key, d in terms.items()})
+            for mu, terms in acc.items()}
 
 
 def _solve(f: SymFunc, matrix, order, basis: str) -> SymFunc:
-    """Invert ``_apply`` for a matrix that is triangular in ``order``.
-
-    Each row may reach only its own partition and those after it in
-    ``order``, so the first coefficient left in the residue is the solved
-    coefficient times the row's diagonal entry.
-    """
+    """Invert ``_apply`` for a matrix that is unitriangular in ``order``: each
+    row reaches only its own partition, with entry 1, and those after it."""
     table = transition_table(f.degree)
     residue = dict(f.coeffs)
     out = {}
@@ -251,17 +271,23 @@ def _solve(f: SymFunc, matrix, order, basis: str) -> SymFunc:
         c = residue.pop(lam, None)
         if c is None or c.is_zero():
             continue
-        i = table.index[lam]
-        if matrix[i][i] != 1:
-            c = c.scale(Fraction(1, matrix[i][i]))
         out[lam] = c
-        for mu, k in zip(table.partitions, matrix[i]):
+        for mu, k in zip(table.partitions, matrix[table.index[lam]]):
             if k and mu != lam:
                 prior = residue.get(mu, f.ring.zero())
                 residue[mu] = prior - c.scale(k)
     if any(not v.is_zero() for v in residue.values()):
         raise IdentityViolation(f"monomial to {basis} back-substitution left a residue in degree {f.degree}")
     return SymFunc(f.degree, basis, out, f.ring)
+
+
+def power_pairings(f: SymFunc) -> dict:
+    """{lam: <f, p_lam>} = {lam: z_lam [p_lam] f} for every lam |- n, with ints
+    where integral: ``hall_table`` applied to f's monomial coefficients."""
+    table = transition_table(f.degree)
+    if f.basis == "power":
+        return _apply(f, [[z_of(lam) * (mu == lam) for mu in table.partitions] for lam in table.partitions])
+    return _apply(convert(f, "monomial"), hall_table(f.degree))
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
@@ -271,16 +297,15 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     if f.basis == target:
         return f
     table = transition_table(f.degree)
-    if f.basis == "schur":
-        f = _apply(f, table.kostka, "monomial")
-    elif f.basis == "power":
-        f = _apply(f, table.power_to_monomial, "monomial")
+    if f.basis != "monomial":
+        matrix = table.kostka if f.basis == "schur" else table.power_to_monomial
+        f = SymFunc(f.degree, "monomial", _apply(f, matrix), f.ring)
     if target == "monomial":
         return f
     if target == "schur":  # descending lex refines dominance
         return _solve(f, table.kostka, table.partitions, "schur")
-    # p_lam reaches only the m_mu with mu coarser than lam, so ascending lex
-    return _solve(f, table.power_to_monomial, table.partitions[::-1], "power")
+    return SymFunc(f.degree, "power", {lam: v.scale(Fraction(1, z_of(lam)))
+                                       for lam, v in power_pairings(f).items()}, f.ring)
 
 
 def omega(f: SymFunc) -> SymFunc:

@@ -2,8 +2,9 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -310,6 +311,40 @@ def test_tilde_sum_times_analogue_matches_plain_sum():
                 for part in lam:
                     product = product * t_analogue(part)
                 assert product == plain
+
+
+def test_inversion_sum_counts_perm_inv():
+    # the one-pass bitmask count against perm_inv's pair scan, on every block
+    # sequence the power routes sum over and on all n! permutations
+    for n in range(1, 6):
+        everything = list(permutations(range(1, n + 1)))
+        for mu in partitions_of(n):
+            for h in sandwich_graphs(attacking_data(mu)):
+                sets = [everything] + [f(h, lam) for lam in partitions_of(n) for f in (n_lambda, n_tilde)]
+                for perms in sets:
+                    want = Counter(perm_inv(h, sigma) for sigma in perms)
+                    assert chromatic._inversion_sum(h, perms) == LaurentQT({(0, s): c for s, c in want.items()})
+
+
+def test_expansion_routes_need_a_natural_unit_interval_graph():
+    # claw-free, but not natural unit interval in its labels: the tableau
+    # formula gave s_3 + s_21 + (1 + 2t) s_111 here without a word
+    bent = UGraph(3, [(1, 3)])
+    assert convert(x_g(bent), "schur").coeffs == {(2, 1): P("1 + t"), (1, 1, 1): P("1 + t")}
+    for n in range(0, 5):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            h = UGraph(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
+            try:
+                graphs.hessenberg(h)
+            except ValueError:
+                for route in (x_g_schur, x_g_power, llt_power_tilde):
+                    with pytest.raises(ValueError):
+                        route(h)
+                continue
+            assert x_g_schur(h) == convert(x_g(h), "schur")
+            assert x_g_power(h) == convert(x_g(h), "power")
+            assert llt_power_tilde(h) == convert(llt_g(h), "power")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -7,6 +8,7 @@ from macchroma.graphs import (
     attacking_data,
     component_partition,
     colorings,
+    hessenberg,
     is_claw_free,
     sandwich_graphs,
 )
@@ -145,6 +147,37 @@ def test_all_sandwich_graphs_claw_free():
         for mu in partitions_of(n):
             for h in sandwich_graphs(attacking_data(mu)):
                 assert is_claw_free(h)
+                hessenberg(h)
+
+
+def _natural_unit_interval_graphs(n):
+    """{edge set: h} over the Hessenberg functions h of n (weakly
+    increasing, i <= h(i) <= n), each with its graph: i < j joined exactly
+    when j <= h(i)."""
+    table = {}
+    for h in product(range(1, n + 1), repeat=n):
+        if all(top >= i for i, top in enumerate(h, start=1)) and list(h) == sorted(h):
+            table[frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, h[i - 1] + 1))] = h
+    return table
+
+
+def test_hessenberg_accepts_exactly_the_natural_unit_interval_graphs():
+    claw_free_rejected = 0
+    for n in range(0, 6):
+        table = _natural_unit_interval_graphs(n)
+        assert len(table) == comb(2 * n, n) // (n + 1)  # Catalan many
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            edges = frozenset(pair for i, pair in enumerate(pairs) if bits >> i & 1)
+            g = UGraph(n, edges)
+            if edges in table:
+                assert hessenberg(g) == table[edges]
+            else:
+                with pytest.raises(ValueError):
+                    hessenberg(g)
+                claw_free_rejected += is_claw_free(g)
+    # so a claw-free test in its place fails this test
+    assert claw_free_rejected == 3 + 46 + 727  # on 3, 4 and 5 vertices
 
 
 def test_component_partition_ignores_edge_input_order():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, permutations
 from math import factorial, prod
 
 import pytest
@@ -10,8 +11,10 @@ from macchroma.shapes import conjugate, partitions_of
 from macchroma.symfunc import (
     SymFunc,
     convert,
+    hall_table,
     kostka,
     omega,
+    power_pairings,
     transition_table,
     z_of,
 )
@@ -116,6 +119,60 @@ def test_power_to_monomial_against_evaluation_oracle():
             for lam, row in zip(table.partitions, table.power_to_monomial):
                 p_at = prod(sum(x**part for x in point) for part in lam)
                 assert p_at == sum(r * m for r, m in zip(row, m_at)), lam
+
+
+def test_hall_table_is_dual_to_the_merge_counts():
+    # <p_kappa, p_lam> = z_lam [kappa == lam], read through p_kappa = sum_nu R[kappa][nu] m_nu
+    for n in range(0, 9):
+        table = transition_table(n)
+        hall = hall_table(n)
+        assert all(type(entry) is int for row in hall for entry in row)
+        for j, lam in enumerate(table.partitions):
+            for kappa, merge in zip(table.partitions, table.power_to_monomial):
+                pairing = sum(r * row[j] for r, row in zip(merge, hall))
+                assert pairing == (z_of(lam) if kappa == lam else 0), (kappa, lam)
+
+
+def _compositions(k):
+    for cuts in range(k):
+        for inner in combinations(range(1, k), cuts):
+            bounds = (0, *inner, k)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def test_hall_table_against_newton_identities():
+    # p_k = sum over compositions alpha of k of (-1)^(len(alpha) - 1) alpha_1 h_alpha,
+    # and p_lam = prod_i p_{lam_i}, so [h_mu] p_lam is read off a product of h's
+    newton = {k: Counter() for k in range(1, 9)}
+    for k in newton:
+        for alpha in _compositions(k):
+            newton[k][tuple(sorted(alpha, reverse=True))] += (-1) ** (len(alpha) - 1) * alpha[0]
+    for n in range(1, 9):
+        table = transition_table(n)
+        for lam, column in zip(table.partitions, zip(*hall_table(n))):
+            product = Counter({(): 1})
+            for part in lam:
+                step = Counter()
+                for mu, c in product.items():
+                    for nu, d in newton[part].items():
+                        step[tuple(sorted(mu + nu, reverse=True))] += c * d
+                product = step
+            assert list(column) == [product[mu] for mu in table.partitions], lam
+
+
+def test_power_pairings_clear_z_on_ints():
+    rng = random.Random(2112)
+    for n in range(1, 6):
+        for _ in range(3):
+            f = random_symfunc(rng, n)
+            pairings = power_pairings(f)
+            assert pairings == power_pairings(convert(f, "power"))
+            assert pairings == power_pairings(convert(f, "schur"))
+            for lam, v in pairings.items():
+                assert all(type(c) is int for c in v.terms.values())
+                assert v.scale(Fraction(1, z_of(lam))) == convert(f, "power").get(lam)
+    third = SymFunc(2, "power", {(2,): LaurentQT.from_int(Fraction(1, 3))}, LaurentQT)
+    assert power_pairings(third) == {(2,): LaurentQT.from_int(Fraction(2, 3)), (1, 1): LaurentQT.zero()}
 
 
 def test_omega():

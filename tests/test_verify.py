@@ -1,6 +1,11 @@
 import json
+from fractions import Fraction
 
-from macchroma import verify
+from macchroma import chromatic, symfunc, verify
+from macchroma.graphs import attacking_data
+from macchroma.rings import LaurentQT
+from macchroma.shapes import partitions_of
+from macchroma.symfunc import SymFunc
 from macchroma.verify import (
     VerifyReport,
     check_chromatic_mu,
@@ -20,6 +25,50 @@ def test_suite_items_pass_small():
     assert check_jack_mu((2, 1))["status"] == "pass"
     assert check_chromatic_mu((2, 1))["status"] == "pass"
     assert check_llt_mu((2, 1))["status"] == "pass"
+
+
+def test_one_wrong_hall_entry_fails_the_chromatic_and_llt_suites(monkeypatch):
+    real = symfunc.hall_table
+    for j, lam in enumerate(partitions_of(3)):
+        def wrong(n, j=j):
+            table = [list(row) for row in real(n)]
+            if n == 3:
+                table[-1][j] += 1  # <m_111, p_lam>, and every X_H and LLT_H has an m_111 term
+            return table
+
+        monkeypatch.setattr(symfunc, "hall_table", wrong)
+        assert check_chromatic_mu((2, 1))["index"] == list(lam)
+        assert check_llt_mu((2, 1))["check"] == "llt_plethysm_mask0"
+
+
+# (lam, delta, expected, actual): the counterexample when x_g_power of G+
+# for mu = (2, 1) has delta added to its p_lam coefficient, recorded before
+# the power check compared z_lam-cleared integer polynomials
+_WRONG_POWER_ROUTE = [
+    ((3,), LaurentQT.one(), "1/3 + 1/3*t + 1/3*t^2", "4/3 + 1/3*t + 1/3*t^2"),
+    ((3,), LaurentQT({(0, 1): Fraction(-1, 3)}), "1/3 + 1/3*t + 1/3*t^2", "1/3 + 1/3*t^2"),
+    ((2, 1), LaurentQT.one(), "-1/2 - t - 1/2*t^2", "1/2 - t - 1/2*t^2"),
+    ((2, 1), LaurentQT({(0, 1): Fraction(-1, 3)}), "-1/2 - t - 1/2*t^2", "-1/2 - 4/3*t - 1/2*t^2"),
+    ((1, 1, 1), LaurentQT.one(), "1/6 + 2/3*t + 1/6*t^2", "7/6 + 2/3*t + 1/6*t^2"),
+    ((1, 1, 1), LaurentQT({(0, 1): Fraction(-1, 3)}), "1/6 + 2/3*t + 1/6*t^2", "1/6 + 1/3*t + 1/6*t^2"),
+]
+
+
+def test_a_wrong_power_route_reports_the_rational_counterexample(monkeypatch):
+    real = chromatic.x_g_power
+    target = attacking_data((2, 1)).g_plus
+    for lam, delta, expected, actual in _WRONG_POWER_ROUTE:
+        def wrong(h, lam=lam, delta=delta):
+            f = real(h)
+            if h != target:
+                return f
+            coeffs = dict(f.coeffs)
+            coeffs[lam] = f.get(lam) + delta
+            return SymFunc(f.degree, f.basis, coeffs, f.ring)
+
+        monkeypatch.setattr(chromatic, "x_g_power", wrong)
+        assert check_chromatic_mu((2, 1)) == {"mu": [2, 1], "check": "power_route_mask1", "basis": "power",
+                                              "index": list(lam), "expected": expected, "actual": actual}
 
 
 def test_run_suite_report_shape():
