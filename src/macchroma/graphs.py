@@ -8,6 +8,9 @@ sandwich enumeration, edge-subset expansions) works from this data.
 ``colorings`` is the one coloring enumerator: the non-attacking fillings
 (``macdonald.non_attacking_fillings``) are the proper colorings of the
 attacking graph with n colors, and ``chromatic.coloring_census`` reads it.
+It is an iterative backtracker that yields the colorings in lexicographic
+order of the coloring tuple, each with its ascent count; that order is
+part of its contract, and its tests compare ordered lists.
 """
 
 from __future__ import annotations
@@ -144,34 +147,55 @@ def colorings(h: UGraph, palette: int, proper: bool = True):
     """Yield (coloring, ascent count) over the colorings of h with colors
     1..palette, skipping those with a monochromatic edge when ``proper``.
 
-    Backtracks over vertices 1..n, colors ascending, so the order is
-    lexicographic.  An ascent is an edge {u,v} with u < v and color(u) <
-    color(v).  The empty graph has one coloring, the empty one, with any
-    palette.
+    An iterative backtracker over vertices 1..n, colors ascending, so the
+    order is lexicographic in the coloring tuple.  Each vertex below the
+    last keeps its color and the ascents of the vertices before it, and a
+    vertex resumes from its color plus one when the search returns to it.
+    The last vertex takes every admissible color in one loop.  An ascent is
+    an edge {u,v} with u < v and color(u) < color(v).  The empty graph has
+    one coloring, the empty one, with any palette.
     """
     if palette < 1 <= h.n:
         raise ValueError("palette must be at least 1")
     n = h.n
-    prev_neighbors = [[]] + [sorted(w for w in h.neighbors(v) if w < v) for v in range(1, n + 1)]
-    colors = [0] * (n + 1)
-
-    def assign(v, asc):
-        if v > n:
-            yield tuple(colors[1:]), asc
-            return
-        for c in range(1, palette + 1):
+    if n == 0:
+        yield (), 0
+        return
+    last = n - 1  # vertex v is index v - 1 from here on
+    lower = [tuple(w - 1 for w in sorted(h.neighbors(v)) if w < v) for v in range(1, n + 1)]
+    colors = [0] * n
+    ascents = [0] * n  # ascents[i]: ascents among the vertices before i
+    tally = [0] * (palette + 1)  # tally[c]: lower neighbours of the last vertex colored c
+    i = 0
+    while i >= 0:
+        if i == last:
+            head = tuple(colors[:last])
+            for u in lower[last]:
+                tally[colors[u]] += 1
+            rise = ascents[last]
+            for c in range(1, palette + 1):
+                rise += tally[c - 1]  # the lower neighbours colored below c
+                if not (proper and tally[c]):
+                    yield (*head, c), rise
+            for u in lower[last]:
+                tally[colors[u]] = 0
+            i -= 1
+            continue
+        for c in range(colors[i] + 1, palette + 1):
             rise = 0
-            for u in prev_neighbors[v]:
+            for u in lower[i]:
                 if colors[u] < c:
                     rise += 1
                 elif proper and colors[u] == c:
                     break
             else:
-                colors[v] = c
-                yield from assign(v + 1, asc + rise)
-        colors[v] = 0
-
-    yield from assign(1, 0)
+                colors[i] = c
+                ascents[i + 1] = ascents[i] + rise
+                i += 1
+                break
+        else:
+            colors[i] = 0
+            i -= 1
 
 
 def hessenberg(h: UGraph) -> tuple:

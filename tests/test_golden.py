@@ -1,10 +1,12 @@
-"""Byte-identity of the power-basis CLI output against a committed table.
+"""Byte-identity of the power- and monomial-basis CLI output against a
+committed table.
 
 ``golden_digests.json`` maps each command to the SHA-256 of its stdout:
-every ``--basis power`` command of ``jqt`` and ``jack`` (each method) and of
-``chromatic`` (attacking and augmented graph, with and without ``--llt``),
-for every mu |- n <= 5, all in text format.  A change meant to alter one of
-these outputs re-records the table, from the root of a checkout, with
+every ``--basis power`` and ``--basis monomial`` command of ``jqt`` and
+``jack`` (each method) and of ``chromatic`` (attacking and augmented graph,
+with and without ``--llt``), for every mu |- n <= 5, all in text format.  A
+change meant to alter one of these outputs re-records the table, from the
+root of a checkout, with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -22,12 +24,13 @@ from macchroma.cli import main
 from macchroma.shapes import partitions_of
 
 TABLE = Path(__file__).with_name("golden_digests.json")
+BASES = ("power", "monomial")
 
 
-def commands():
+def commands(basis):
     for n in range(1, 6):
         for mu in partitions_of(n):
-            flag = ["--mu", ",".join(map(str, mu)), "--basis", "power"]
+            flag = ["--mu", ",".join(map(str, mu)), "--basis", basis]
             for method in ("hhl", "chromatic", "tableaux", "powersum"):
                 yield ["jqt", *flag, "--method", method]
             for method in ("knop-sahi", "chromatic", "tableaux", "subsets"):
@@ -37,11 +40,12 @@ def commands():
                 yield ["chromatic", *flag, "--graph", graph, "--llt"]
 
 
-def digests() -> dict:
-    """{command: SHA-256 of its stdout}, run in this process; a command that
-    exits nonzero is recorded as its exit code instead."""
+def digests(basis) -> dict:
+    """{command: SHA-256 of its stdout} over the commands of one basis, run
+    in this process; a command that exits nonzero is recorded as its exit
+    code instead."""
     table = {}
-    for argv in commands():
+    for argv in commands(basis):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
@@ -49,13 +53,23 @@ def digests() -> dict:
     return table
 
 
-def test_power_outputs_match_the_golden_table():
+def golden(basis) -> dict:
     want = json.loads(TABLE.read_text())
-    assert len(want) == 216
-    assert digests() == want
+    assert len(want) == 432
+    return {cmd: digest for cmd, digest in want.items() if f" --basis {basis} " in cmd}
+
+
+def test_power_outputs_match_the_golden_table():
+    assert digests("power") == golden("power")
+
+
+def test_monomial_outputs_match_the_golden_table():
+    # the chromatic entries are census-read X_H and LLT_H, so this pins graphs.colorings
+    assert digests("monomial") == golden("monomial")
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
-    TABLE.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    table = {cmd: digest for basis in BASES for cmd, digest in digests(basis).items()}
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -198,17 +198,20 @@ def _ascents(h, coloring):
     return sum(1 for u, v in h.edges if coloring[u - 1] < coloring[v - 1])
 
 
+def _all_labelled_graphs(max_n):
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            yield UGraph(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
+
+
 def test_colorings_against_product_oracle():
-    graphs = [
-        UGraph(1),
-        UGraph(3, [(1, 2), (2, 3)]),
-        UGraph(4, [(1, 3), (2, 4), (3, 4)]),
-        UGraph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
-        attacking_data((2, 2)).g_plus,
-        attacking_data((3, 1, 1)).g,
-    ]
+    """Every labelled graph on n <= 4 vertices (and two shapes' graphs),
+    palettes 1..n+1, as ordered lists: the order is lexicographic."""
+    graphs = [*_all_labelled_graphs(4), attacking_data((3, 1, 1)).g, attacking_data((2, 2, 1)).g_plus]
+    assert len(graphs) == 1 + 1 + 2 + 8 + 64 + 2
     for h in graphs:
-        for k in (1, 2, 3, h.n + 1):
+        for k in range(1, h.n + 2):
             everything = [(c, _ascents(h, c)) for c in product(range(1, k + 1), repeat=h.n)]
             assert list(colorings(h, k, proper=False)) == everything
             proper = [(c, asc) for c, asc in everything

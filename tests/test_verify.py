@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 from macchroma import chromatic, symfunc, verify
-from macchroma.graphs import attacking_data
+from macchroma.graphs import UGraph, attacking_data
 from macchroma.rings import LaurentQT
 from macchroma.shapes import partitions_of
 from macchroma.symfunc import SymFunc
@@ -25,6 +25,20 @@ def test_suite_items_pass_small():
     assert check_jack_mu((2, 1))["status"] == "pass"
     assert check_chromatic_mu((2, 1))["status"] == "pass"
     assert check_llt_mu((2, 1))["status"] == "pass"
+
+
+def test_every_suite_item_passes_the_empty_partition():
+    for item in verify._SUITE_ITEM.values():
+        assert item(()) == {"mu": [], "status": "pass"}
+
+
+def test_a_claw_free_graph_that_is_not_unit_interval_is_a_chromatic_counterexample(monkeypatch):
+    # claw-free, but 1 ~ 3 without 1 ~ 2 breaks the Hessenberg form the
+    # Schur and power routes need, so it must come back as a counterexample
+    bad = UGraph(3, [(1, 3)])
+    monkeypatch.setattr(verify, "sandwich_graphs", lambda data: iter([bad]))
+    assert check_chromatic_mu((1, 1, 1)) == {"mu": [1, 1, 1], "check": "hessenberg", "basis": None, "index": [0],
+                                             "expected": "natural unit interval", "actual": str(bad)}
 
 
 def test_one_wrong_hall_entry_fails_the_chromatic_and_llt_suites(monkeypatch):
