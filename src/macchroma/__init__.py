@@ -19,7 +19,6 @@ from .graphs import (
     colorings,
     component_partition,
     hessenberg,
-    is_claw_free,
     sandwich_graphs,
 )
 from .jack import jack_chromatic, jack_knop_sahi, jack_power, jack_schur, wt_alpha

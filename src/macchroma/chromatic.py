@@ -65,7 +65,6 @@ __all__ = [
     "n_lambda",
     "n_tilde",
     "graph_tableaux",
-    "tableau_inv",
     "perm_inv",
     "t_analogue",
     "ColoringCensus",
@@ -198,8 +197,9 @@ def llt_g(h: UGraph) -> SymFunc:
 # ---------------------------------------------------------------------------
 
 def graph_tableaux(shape, horiz: UGraph, vert: UGraph):
-    """Yield the fillings of a French shape by 1..n, n = sum(shape), each
-    value once, under graph constraints, as tuples of rows, bottom row first.
+    """Yield the fillings of a French shape by the vertices 1..n of both
+    graphs, each once, under graph constraints, as tuples of rows, bottom
+    row first; a shape of another size raises ``ValueError``.
 
     Rows increase left to right; horizontally adjacent entries must not be an
     edge of ``horiz``; for ``u`` directly above ``v``, either u > v or {u,v}
@@ -208,6 +208,8 @@ def graph_tableaux(shape, horiz: UGraph, vert: UGraph):
     row first.
     """
     shape = tuple(shape)
+    if horiz.n != vert.n:
+        raise ValueError("the two graphs must have the same vertex count")
     starts = [sum(shape[:r]) for r in range(len(shape))]
 
     def rejects(sigma, row_of, start, j):
@@ -220,23 +222,16 @@ def graph_tableaux(shape, horiz: UGraph, vert: UGraph):
         below = sigma[starts[row - 1] + j - start]
         return val < below and not vert.has_edge(val, below)
 
-    for sigma in _block_sequences(sum(shape), shape, rejects):
+    for sigma in _block_sequences(horiz.n, shape, rejects):
         yield tuple(sigma[lo:lo + width] for lo, width in zip(starts, shape))
 
 
-def tableau_inv(rows, graph: UGraph) -> int:
-    """Edges {u,v}, u < v, whose smaller endpoint sits in a strictly higher row."""
-    row_of = {}
-    for r, row in enumerate(rows):
-        for val in row:
-            row_of[val] = r
-    return sum(1 for u, v in graph.edges if row_of[u] > row_of[v])
-
-
 def x_g_schur(h: UGraph) -> SymFunc:
-    """Schur expansion of X_H(x;t) via graph tableaux; H must pass ``graphs.hessenberg``."""
+    """Schur expansion of X_H(x;t) via graph tableaux, H passing
+    ``graphs.hessenberg``: t counts the edges whose smaller end sits in a
+    higher row, the inversions of the increasing rows read bottom row first."""
     hessenberg(h)
-    coeffs = {lam: _t_poly(Counter(tableau_inv(rows, h) for rows in graph_tableaux(lam, h, h)))
+    coeffs = {lam: _inversion_sum(h, [sum(rows, ()) for rows in graph_tableaux(lam, h, h)])
               for lam in partitions_of(h.n)}
     return SymFunc(h.n, "schur", coeffs, LaurentQT)
 
@@ -321,7 +316,9 @@ def _lambda_rejects(h, sigma, block_of, start, j) -> bool:
 
 def n_lambda(h: UGraph, lam) -> list:
     """Permutations with no graph descents and no nontrivial LR graph maxima,
-    as sigma tuples cut into blocks of lengths lam."""
+    as sigma tuples cut into blocks of lengths lam; h must pass
+    ``graphs.hessenberg``."""
+    hessenberg(h)
     return _block_sequences(h.n, lam, partial(_lambda_rejects, h))
 
 
@@ -361,7 +358,6 @@ def _omega_power(n: int, coeff) -> SymFunc:
 def x_g_power(h: UGraph) -> SymFunc:
     """Power sum expansion of X_H(x;t), for H that passes ``graphs.hessenberg``:
     the N_lambda sums give omega X_H, and omega is applied here."""
-    hessenberg(h)
     return _omega_power(h.n, lambda lam: _inversion_sum(h, n_lambda(h, lam)))
 
 
@@ -383,7 +379,9 @@ def n_tilde(h: UGraph, lam) -> list:
 
     Note: the consecutive-ascent condition must read "is an edge"; the
     non-edge reading contradicts the divided form already at two vertices.
+    h must pass ``graphs.hessenberg``.
     """
+    hessenberg(h)
     return _block_sequences(h.n, lam, partial(_tilde_rejects, h))
 
 
@@ -410,7 +408,6 @@ def _lambda_factors(lam) -> tuple[LaurentQT, LaurentQT, LaurentQT]:
 def llt_power_tilde(h: UGraph) -> SymFunc:
     """LLT_H in the power basis, for H that passes ``graphs.hessenberg``, from
     the tilde permutation sets, which give omega LLT_H; omega is applied here."""
-    hessenberg(h)
     return _omega_power(h.n, lambda lam: _lambda_factors(lam)[0] * _inversion_sum(h, n_tilde(h, lam)))
 
 

@@ -98,8 +98,11 @@ class AttackingData:
             raise IdentityViolation(f"attacking graph of {mu} is not inside its augmentation")
         if len(g_plus.edges) - len(g.edges) != n - max(mu, default=0):
             raise IdentityViolation(f"augmented attacking graph of {mu} lacks a down-edge")
-        if not (is_claw_free(g) and is_claw_free(g_plus)):
-            raise IdentityViolation(f"attacking graphs of {mu} must be claw-free")
+        try:
+            hessenberg(g)
+            hessenberg(g_plus)
+        except ValueError as err:
+            raise IdentityViolation(f"attacking graphs of {mu} must be natural unit interval") from err
         self.mu = mu
         self.g = g
         self.g_plus = g_plus
@@ -208,16 +211,3 @@ def hessenberg(h: UGraph) -> tuple:
         raise ValueError(f"{h} is not a natural unit interval graph in its labels")
     return tops
 
-
-def is_claw_free(h: UGraph) -> bool:
-    """True when no vertex has three pairwise non-adjacent neighbors."""
-    for v in range(1, h.n + 1):
-        nbrs = sorted(h.neighbors(v))
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                if h.has_edge(nbrs[i], nbrs[j]):
-                    continue
-                for k in range(j + 1, len(nbrs)):
-                    if not h.has_edge(nbrs[i], nbrs[k]) and not h.has_edge(nbrs[j], nbrs[k]):
-                        return False
-    return True

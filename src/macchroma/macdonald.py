@@ -31,7 +31,6 @@ from .chromatic import (
     graph_tableaux,
     n_lambda,
     perm_inv,
-    tableau_inv,
     x_g,
 )
 from .graphs import attacking_data, colorings, sandwich_graphs
@@ -187,10 +186,12 @@ def wt_mu(mu, rows) -> LaurentQT:
     Each down-edge {u, v} contributes one factor picked by where u sits
     relative to v in the tableau (left-adjacent, directly on top, higher row,
     or anything else); the whole product is scaled by t to the number of
-    attacking edges whose smaller label sits in a strictly higher row.
+    attacking edges whose smaller label sits in a strictly higher row.  The
+    rows increase, so those are the attacking-edge inversions of the rows
+    read bottom row first.
     """
     mu = tuple(mu)
-    weight = LaurentQT.term(1, 0, tableau_inv(rows, attacking_data(mu).g))
+    weight = LaurentQT.term(1, 0, perm_inv(attacking_data(mu).g, sum(rows, ())))
     for place, arm_u, leg_u in _down_edge_places(mu, rows):
         if place == "left":
             factor = LaurentQT.term(1, 0, -arm_u) * _one_minus_qt(leg_u + 1, arm_u + 1)

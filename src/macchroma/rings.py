@@ -10,12 +10,12 @@ implementation serves both:
 
 A value maps exponent tuples, one entry per variable (``(q_exp, t_exp)``,
 or ``(a_exp,)``), to nonzero coefficients, each an ``int`` or a
-``fractions.Fraction``.  Values built from ints (``one``, ``from_int``,
-``term`` and dicts of ints, and their sums, products and integer scalings)
-hold ints, so integer weights stay in integer arithmetic; a ``Fraction``
-enters only through a division (1/z_lam, a non-unit pivot), through
-``parse``, which reads every coefficient as a ``Fraction``, or as an
-argument, and an operation with a ``Fraction`` operand gives a ``Fraction``.
+``fractions.Fraction``.  Values built from ints (``one``, ``term`` and
+dicts of ints, and their sums, products and integer scalings) hold ints, so
+integer weights stay in integer arithmetic; a ``Fraction`` enters only
+through a division (1/z_lam, a non-unit pivot), through ``parse``, which
+reads every coefficient as a ``Fraction``, or as an argument, and an
+operation with a ``Fraction`` operand gives a ``Fraction``.
 ``exact_div`` quotients and ``AlphaPoly.substitute`` values are ints when
 integral.  An ``int`` and the ``Fraction`` of the same value compare and
 hash equal, so equality never depends on which one is stored.
@@ -143,7 +143,7 @@ class LaurentQT:
                     tidy[key] = c
         if tidy:
             # every exponent of every key, checked in one pass; most values
-            # built by term, one and from_int have a single key
+            # built by term and one have a single key
             flat = next(iter(tidy)) if len(tidy) == 1 else tuple(chain.from_iterable(tidy))
             if len(flat) != len(self.VARS) * len(tidy):
                 raise ValueError(f"{type(self).__name__} keys need one exponent per variable {self.VARS}")
@@ -166,10 +166,6 @@ class LaurentQT:
     @classmethod
     def one(cls):
         return cls({(0,) * len(cls.VARS): 1})
-
-    @classmethod
-    def from_int(cls, n):
-        return cls({(0,) * len(cls.VARS): n})
 
     @classmethod
     def term(cls, coeff, *exps: int):

@@ -15,7 +15,10 @@ class IdentityViolation(ArithmeticError):
 
 def check_partition(parts) -> tuple[int, ...]:
     """Validate and normalize a partition given as an iterable of parts."""
+    parts = tuple(parts)
     mu = tuple(int(p) for p in parts)
+    if mu != parts:
+        raise ValueError(f"partition parts must be integers, got {parts}")
     for i, p in enumerate(mu):
         if p <= 0:
             raise ValueError(f"partition parts must be positive, got {mu}")

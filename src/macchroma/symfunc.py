@@ -79,9 +79,6 @@ class SymFunc:
         """Multiply every coefficient by a fixed ring element."""
         return SymFunc(self.degree, self.basis, {lam: v * c for lam, v in self.coeffs.items()}, self.ring)
 
-    def map_coeffs(self, fn, ring=None) -> "SymFunc":
-        return SymFunc(self.degree, self.basis, {lam: fn(v) for lam, v in self.coeffs.items()}, ring or self.ring)
-
     def ring_name(self) -> str:
         return _RING_NAMES[self.ring]
 

@@ -1,12 +1,12 @@
-"""Byte-identity of the power- and monomial-basis CLI output against a
-committed table.
+"""Byte-identity of the power-, monomial- and Schur-basis CLI output against
+a committed table.
 
 ``golden_digests.json`` maps each command to the SHA-256 of its stdout:
-every ``--basis power`` and ``--basis monomial`` command of ``jqt`` and
-``jack`` (each method) and of ``chromatic`` (attacking and augmented graph,
-with and without ``--llt``), for every mu |- n <= 5, all in text format.  A
-change meant to alter one of these outputs re-records the table, from the
-root of a checkout, with
+every ``--basis power``, ``--basis monomial`` and ``--basis schur`` command
+of ``jqt`` and ``jack`` (each method) and of ``chromatic`` (attacking and
+augmented graph, with and without ``--llt``), for every mu |- n <= 5, all in
+text format.  A change meant to alter one of these outputs re-records the
+table, from the root of a checkout, with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -24,7 +24,7 @@ from macchroma.cli import main
 from macchroma.shapes import partitions_of
 
 TABLE = Path(__file__).with_name("golden_digests.json")
-BASES = ("power", "monomial")
+BASES = ("power", "monomial", "schur")
 
 
 def commands(basis):
@@ -55,7 +55,7 @@ def digests(basis) -> dict:
 
 def golden(basis) -> dict:
     want = json.loads(TABLE.read_text())
-    assert len(want) == 432
+    assert len(want) == 648
     return {cmd: digest for cmd, digest in want.items() if f" --basis {basis} " in cmd}
 
 
@@ -66,6 +66,11 @@ def test_power_outputs_match_the_golden_table():
 def test_monomial_outputs_match_the_golden_table():
     # the chromatic entries are census-read X_H and LLT_H, so this pins graphs.colorings
     assert digests("monomial") == golden("monomial")
+
+
+def test_schur_outputs_match_the_golden_table():
+    # the chromatic entries run x_g_schur and the jqt tableaux entries j_schur/wt_mu
+    assert digests("schur") == golden("schur")
 
 
 if __name__ == "__main__":

@@ -88,9 +88,8 @@ def _jack_chromatic_by_sandwich_graphs(mu):
         for i in range(k):
             weight = weight * (-hooks[i] if mask >> i & 1 else AlphaPoly.one() + hooks[i])
         (x_h,) = from_census(coloring_census(h))
-        counts = x_h.map_coeffs(lambda c: c.substitute_t(1, 0))
         total = total + SymFunc(n, "monomial", {
-            lam: weight.scale(_constant_value(c)) for lam, c in counts.coeffs.items()
+            lam: weight.scale(_constant_value(c.substitute_t(1, 0))) for lam, c in x_h.coeffs.items()
         }, AlphaPoly)
     return total
 
@@ -157,7 +156,7 @@ def _jack_power_by_edge_subset(mu):
         subset = [edges[i] for i in range(len(edges)) if mask >> i & 1]
         weight = AlphaPoly.one()
         for edge in subset:
-            weight = weight * (hooks[edge] if edge in hooks else AlphaPoly.from_int(-1))
+            weight = weight * (hooks[edge] if edge in hooks else AlphaPoly.term(-1))
         lam = component_partition(UGraph(n, subset))
         coeffs[lam] = coeffs.get(lam, AlphaPoly.zero()) + weight
     return SymFunc(n, "power", coeffs, AlphaPoly)

@@ -204,13 +204,13 @@ def test_values_built_from_ints_hold_ints():
     built = [
         one_minus_t * one_minus_qt,
         LaurentQT({(0, 0): 3, (1, -1): -2}) ** 3,
-        LaurentQT.term(5, 1, -2) + LaurentQT.one() - LaurentQT.from_int(7),
+        LaurentQT.term(5, 1, -2) + LaurentQT.one() - LaurentQT.term(7),
         one_minus_qt.scale(4),
         -LaurentQT({(0, 0): 2, (0, 1): -1}).substitute_q(-1, 3),
         (one_minus_t * one_minus_qt).substitute_t(1, 2),
         (one_minus_t * one_minus_qt).exact_div(one_minus_qt),
         LaurentQT({(0, 0): 6, (0, 1): 6}).exact_div(LaurentQT({(0, 0): 3, (0, 1): 3})),
-        hook * (AlphaPoly.one() - hook) + AlphaPoly.from_int(2),
+        hook * (AlphaPoly.one() - hook) + AlphaPoly.term(2),
     ]
     built += mask_products(AlphaPoly.one(), [(AlphaPoly.one(), hook), (AlphaPoly.one() + hook, -hook)])
     rng = random.Random(2020)
@@ -239,8 +239,8 @@ def test_int_and_integral_fraction_coefficients_compare_and_hash_equal():
         (LaurentQT.one() - LaurentQT.term(1, 0, 1), P("1 - t")),
         ((LaurentQT.one() - LaurentQT.term(1, 0, 1)).scale(2), P("1 - t").scale(2)),
         (AlphaPoly({(2,): 5}), AlphaPoly({(2,): Fraction(10, 2)})),
-        (AlphaPoly.from_int(1) + AlphaPoly.term(2, 1), A("1 + 2*a")),
-        (LaurentQT.from_int(1), LaurentQT.term(Fraction(1))),
+        (AlphaPoly.term(1) + AlphaPoly.term(2, 1), A("1 + 2*a")),
+        (LaurentQT.term(1), LaurentQT.term(Fraction(1))),
     ]
     for a, b in pairs:
         assert {type(c) for c in _coefficients(a)} == {int}

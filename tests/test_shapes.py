@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from macchroma.graphs import attacking_data
+from macchroma.macdonald import j_schur
 from macchroma.shapes import (
     check_partition,
     conjugate,
@@ -40,6 +43,13 @@ def test_partition_validation():
         check_partition([1, 2])
     with pytest.raises(ValueError):
         check_partition([2, 0])
+    # a part that is not an integer is refused, not truncated
+    for parts in ((2.5, 1), (2.7,), (Fraction(3, 2),)):
+        with pytest.raises(ValueError):
+            check_partition(parts)
+    with pytest.raises(ValueError):
+        j_schur((2.7,))
+    assert check_partition((2.0, Fraction(1))) == (2, 1)
     assert parse_partition("3,1") == (3, 1)
     assert parse_partition("") == ()
     with pytest.raises(ValueError):
