@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .graphs import IdentityViolation, UGraph, colorings, hessenberg
 from .rings import LaurentQT
-from .shapes import partitions_of
+from .shapes import check_partition, partitions_of
 from .symfunc import SymFunc, monomial_from_contents, omega, power_pairings, z_of
 
 __all__ = [
@@ -199,7 +199,8 @@ def llt_g(h: UGraph) -> SymFunc:
 def graph_tableaux(shape, horiz: UGraph, vert: UGraph):
     """Yield the fillings of a French shape by the vertices 1..n of both
     graphs, each once, under graph constraints, as tuples of rows, bottom
-    row first; a shape of another size raises ``ValueError``.
+    row first; a shape that is not a partition (``check_partition``) or of
+    another size raises ``ValueError``.
 
     Rows increase left to right; horizontally adjacent entries must not be an
     edge of ``horiz``; for ``u`` directly above ``v``, either u > v or {u,v}
@@ -207,20 +208,19 @@ def graph_tableaux(shape, horiz: UGraph, vert: UGraph):
     the rows, so they come in lexicographic order of the rows read bottom
     row first.
     """
-    shape = tuple(shape)
+    shape = check_partition(shape)
     if horiz.n != vert.n:
         raise ValueError("the two graphs must have the same vertex count")
     starts = [sum(shape[:r]) for r in range(len(shape))]
+    # below[j]: the position of the cell directly below position j; None in the bottom row
+    below = [None] * sum(shape[:1]) + [lo + c for lo, width in zip(starts, shape[1:]) for c in range(width)]
 
-    def rejects(sigma, row_of, start, j):
+    def rejects(sigma, start, j):
         val = sigma[j]
         if j > start and (val < sigma[j - 1] or horiz.has_edge(sigma[j - 1], val)):
             return True
-        row = row_of[j]
-        if not row:
-            return False
-        below = sigma[starts[row - 1] + j - start]
-        return val < below and not vert.has_edge(val, below)
+        down = below[j]
+        return down is not None and val < sigma[down] and not vert.has_edge(val, sigma[down])
 
     for sigma in _block_sequences(horiz.n, shape, rejects):
         yield tuple(sigma[lo:lo + width] for lo, width in zip(starts, shape))
@@ -240,41 +240,37 @@ def x_g_schur(h: UGraph) -> SymFunc:
 # Block permutations and the power sum expansion
 # ---------------------------------------------------------------------------
 
-def _graph_descent_at(sigma, block_of, j: int, h: UGraph) -> bool:
-    """Whether positions j-1 and j (0-based) of one block hold a graph
-    descent: sigma[j-1] > sigma[j] and the two are not joined in h."""
-    return (
-        j > 0
-        and block_of[j] == block_of[j - 1]
-        and sigma[j - 1] > sigma[j]
-        and not h.has_edge(sigma[j], sigma[j - 1])
-    )
+def _graph_descent_at(sigma, start, j: int, h: UGraph) -> bool:
+    """Whether positions j-1 and j (0-based) of one block, which begins at
+    position start, hold a graph descent: sigma[j-1] > sigma[j] and the two
+    are not joined in h."""
+    return j > start and sigma[j - 1] > sigma[j] and not h.has_edge(sigma[j], sigma[j - 1])
 
 
-def _nontrivial_lr_max_at(sigma, block_of, j: int, h: UGraph) -> bool:
-    """Whether position j (0-based) holds a nontrivial left-to-right graph
-    maximum: j is not the first position of its block, and every earlier
-    entry of the block is smaller than sigma[j] and not joined to it in h."""
-    if j == 0 or block_of[j] != block_of[j - 1]:
+def _nontrivial_lr_max_at(sigma, start, j: int, h: UGraph) -> bool:
+    """Whether position j (0-based) of a block that begins at position start
+    holds a nontrivial left-to-right graph maximum: j is not the block's
+    first position, and every earlier entry of the block is smaller than
+    sigma[j] and not joined to it in h."""
+    if j == start:
         return False
-    i = j - 1
-    while i >= 0 and block_of[i] == block_of[j]:
+    for i in range(start, j):
         if sigma[i] > sigma[j] or h.has_edge(sigma[i], sigma[j]):
             return False
-        i -= 1
     return True
 
 
-def _block_of(lam) -> tuple:
-    """Block index of each position of a sigma cut into blocks of lengths lam."""
-    return tuple(b for b, length in enumerate(lam) for _ in range(length))
+def _block_starts(lam) -> tuple:
+    """The position where each position's block begins, for a sigma cut
+    into blocks of lengths lam."""
+    return tuple(sum(lam[:b]) for b, length in enumerate(lam) for _ in range(length))
 
 
 def _block_sequences(n: int, lam, rejects) -> list:
     """Sequences of the values 1..n, each used once, cut into blocks of
-    lengths lam, in lexicographic order, that ``rejects(sigma, block_of,
-    start, j)`` passes at every position j (its block begins at position
-    ``start``; block starts are tested too).
+    lengths lam, in lexicographic order, that ``rejects(sigma, start, j)``
+    passes at every position j (its block begins at position ``start``;
+    block starts are tested too).
 
     sigma is built one position at a time, trying values in ascending
     order, and a value is dropped on insertion.  That yields exactly the
@@ -285,8 +281,7 @@ def _block_sequences(n: int, lam, rejects) -> list:
     lam = tuple(lam)
     if sum(lam) != n:
         raise ValueError("partition size must equal vertex count")
-    block_of = _block_of(lam)
-    start_of = [block_of.index(b) for b in block_of]
+    start_of = _block_starts(lam)
     sigma = [0] * n
     used = [False] * (n + 1)
     out = []
@@ -300,7 +295,7 @@ def _block_sequences(n: int, lam, rejects) -> list:
             if used[val]:
                 continue
             sigma[j] = val
-            if rejects(sigma, block_of, start, j):
+            if rejects(sigma, start, j):
                 continue
             used[val] = True
             place(j + 1)
@@ -310,8 +305,8 @@ def _block_sequences(n: int, lam, rejects) -> list:
     return out
 
 
-def _lambda_rejects(h, sigma, block_of, start, j) -> bool:
-    return _graph_descent_at(sigma, block_of, j, h) or _nontrivial_lr_max_at(sigma, block_of, j, h)
+def _lambda_rejects(h, sigma, start, j) -> bool:
+    return _graph_descent_at(sigma, start, j, h) or _nontrivial_lr_max_at(sigma, start, j, h)
 
 
 def n_lambda(h: UGraph, lam) -> list:
@@ -365,7 +360,7 @@ def x_g_power(h: UGraph) -> SymFunc:
 # LLT power sum formulas and the plethystic identity
 # ---------------------------------------------------------------------------
 
-def _tilde_rejects(h, sigma, block_of, start, j) -> bool:
+def _tilde_rejects(h, sigma, start, j) -> bool:
     # below the block's first entry, or an in-block ascent that is no edge
     return j > start and (sigma[j] < sigma[start] or (
         sigma[j - 1] < sigma[j] and not h.has_edge(sigma[j - 1], sigma[j])

@@ -119,12 +119,11 @@ def _select_graph(mu, selector: str):
         return data.g_plus
     if selector.startswith("mask:"):
         bits = selector[len("mask:"):]
-        if len(bits) != len(data.down_edges) or any(b not in "01" for b in bits):
+        if len(bits) != len(data.added) or any(b not in "01" for b in bits):
             raise ValueError(
-                f"mask must be {len(data.down_edges)} binary digits for mu={','.join(map(str, mu))}"
+                f"mask must be {len(data.added)} binary digits for mu={','.join(map(str, mu))}"
             )
-        extra = [data.down_edges[i][0] for i, b in enumerate(bits) if b == "1"]
-        return data.g.with_edges(extra)
+        return data.sandwich(int(bits[::-1] or "0", 2))
     raise ValueError(f"unknown graph selector {selector!r}")
 
 
@@ -164,10 +163,7 @@ def main(argv=None) -> int:
             if args.max_n < 1 or args.max_k < 1:
                 raise ValueError("--max-n and --max-k must be at least 1")
             report = run_conjecture(args.which, args.max_n, args.max_k, progress=_progress)
-            if args.format == "json":
-                print(json.dumps(report.to_json_dict()))
-            else:
-                print(report.to_text())
+            _emit(report, args.format)
             return 0 if report.ok() else 4
     except IdentityViolation as exc:
         print(f"identity violation: {exc}", file=sys.stderr)

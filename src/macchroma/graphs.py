@@ -78,9 +78,12 @@ class AttackingData:
     strictly above u in its *column*.  (Some sources phrase the leg as
     "above in its row", which reads as a typo; the column count is what the
     arm/leg picture and every downstream identity require.)
+
+    ``added`` holds the down-edge pairs, the edges of G+ outside G, in
+    ``down_edges`` order: bit i of a sandwich mask adds ``added[i]``.
     """
 
-    __slots__ = ("mu", "g", "g_plus", "down_edges")
+    __slots__ = ("mu", "g", "g_plus", "down_edges", "added")
 
     def __init__(self, mu):
         mu = check_partition(mu)
@@ -93,7 +96,8 @@ class AttackingData:
                        if ru == rv or (ru == rv + 1 and cu > cv)])
         down_edges = [((u, label[r - 1, c]), mu[r - 1] - c, cols[c - 1] - r)
                       for u, (r, c) in enumerate(cells, start=1) if r > 1]
-        g_plus = g.with_edges(edge for edge, _, _ in down_edges)
+        added = tuple(edge for edge, _, _ in down_edges)
+        g_plus = g.with_edges(added)
         if not g.edge_set() <= g_plus.edge_set():
             raise IdentityViolation(f"attacking graph of {mu} is not inside its augmentation")
         if len(g_plus.edges) - len(g.edges) != n - max(mu, default=0):
@@ -107,6 +111,13 @@ class AttackingData:
         self.g = g
         self.g_plus = g_plus
         self.down_edges = tuple(down_edges)
+        self.added = added
+
+    def sandwich(self, mask: int) -> UGraph:
+        """G plus the added edges whose bits are set in mask (0 <= mask < 2^k)."""
+        if not 0 <= mask < 1 << len(self.added):
+            raise ValueError(f"mask {mask} is not a set of the {len(self.added)} added edges")
+        return self.g.with_edges(edge for i, edge in enumerate(self.added) if mask >> i & 1)
 
 
 @lru_cache(maxsize=128)
@@ -118,11 +129,8 @@ def attacking_data(mu) -> AttackingData:
 
 def sandwich_graphs(data: AttackingData):
     """All graphs H with G subset H subset G+, by ascending down-edge bitmask."""
-    edges = [edge for edge, _, _ in data.down_edges]
-    k = len(edges)
-    for mask in range(1 << k):
-        extra = [edges[i] for i in range(k) if mask >> i & 1]
-        yield data.g.with_edges(extra)
+    for mask in range(1 << len(data.added)):
+        yield data.sandwich(mask)
 
 
 def component_partition(h: UGraph):

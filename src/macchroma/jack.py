@@ -93,7 +93,7 @@ def jack_chromatic(mu) -> SymFunc:
     data = attacking_data(mu)
     hooks = [hook_alpha(arm_u, leg_u) for (_, arm_u, leg_u) in data.down_edges]
     weights = mask_products(AlphaPoly.one(), [(AlphaPoly.one() + hook, -hook) for hook in hooks])
-    census = coloring_census(data.g, [edge for edge, _, _ in data.down_edges])
+    census = coloring_census(data.g, data.added)
     counts: dict[tuple[int, ...], dict[int, int]] = {}  # {lam: {mask: [m_lam] X_H(x; 1)}}
     for mask, x in enumerate(from_census(census)):
         for lam, c in x.coeffs.items():
@@ -152,7 +152,7 @@ def jack_power(mu) -> SymFunc:
     mu = check_partition(mu)
     n = sum(mu)
     data = attacking_data(mu)
-    bit_of = {edge: 1 << i for i, (edge, _, _) in enumerate(data.down_edges)}
+    bit_of = {edge: 1 << i for i, edge in enumerate(data.added)}
     hooks_by_mask = mask_products(AlphaPoly.one(), [
         (AlphaPoly.one(), hook_alpha(arm_u, leg_u)) for _, arm_u, leg_u in data.down_edges
     ])

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .chromatic import (
     IdentityViolation,
-    _block_of,
+    _block_starts,
     _lambda_rejects,
     _nontrivial_lr_max_at,
     _omega_power,
@@ -240,17 +240,17 @@ def wt_p(sigma, lam, mu) -> LaurentQT:
         raise ValueError("sigma must be a permutation of 1..n")
     if sum(lam) != n:
         raise ValueError("block lengths must sum to n")
-    block_of = _block_of(lam)
+    start_of = _block_starts(lam)
     for j in range(1, n):
-        if block_of[j] == block_of[j - 1] and _lambda_rejects(data.g_plus, sigma, block_of, None, j):
+        if start_of[j] < j and _lambda_rejects(data.g_plus, sigma, start_of[j], j):
             raise ValueError("permutation outside N_lambda of the augmented attacking graph")
     pos_of = {val: i for i, val in enumerate(sigma)}
     weight = LaurentQT.term(1, 0, perm_inv(data.g, sigma))
     for (u, v), arm_u, leg_u in data.down_edges:
         pu, pv = pos_of[u], pos_of[v]
-        if pu == pv + 1 and block_of[pu] == block_of[pv]:
+        if pu == pv + 1 and start_of[pu] == start_of[pv]:
             factor = LaurentQT.term(-1, 0, 1) * _one_minus_qt(leg_u + 1, arm_u)
-        elif _nontrivial_lr_max_at(sigma, block_of, pv, data.g):
+        elif _nontrivial_lr_max_at(sigma, start_of[pv], pv, data.g):
             factor = -_one_minus_qt(leg_u + 1, arm_u)
         elif pv < pu:
             factor = ONE_MINUS_T

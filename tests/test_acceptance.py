@@ -29,6 +29,7 @@ from macchroma.rings import AlphaPoly, LaurentQT
 from macchroma.shapes import conjugate, n_stat, partitions_of
 from macchroma.symfunc import convert
 from macchroma.verify import run_conjecture
+from ring_values import constant_value
 
 P = LaurentQT.parse
 A = AlphaPoly.parse
@@ -95,15 +96,7 @@ def test_criterion_2_reference_values_jack_and_graphs():
 def _alpha_limit(weight: LaurentQT, k: int, n: int) -> Fraction:
     """Value at a=k of the Jack limit of a q,t weight: q = t^k, divide by
     (1-t)^n, then t = 1."""
-    return _constant_value(weight.substitute_q(1, k).exact_div(P("1 - t") ** n).substitute_t(1, 0))
-
-
-def _constant_value(p) -> Fraction:
-    """The value of a constant polynomial (every exponent zero)."""
-    origin = (0,) * len(p.VARS)
-    if set(p.terms) - {origin}:
-        raise ValueError(f"not a constant polynomial: {p}")
-    return p.terms.get(origin, Fraction(0))
+    return constant_value(weight.substitute_q(1, k).exact_div(P("1 - t") ** n).substitute_t(1, 0))
 
 
 def _interpolate(points) -> AlphaPoly:
@@ -232,6 +225,7 @@ def test_criterion_7_structural_invariants():
             for values, maj, inv, arm_des, mask in non_attacking_fillings(mu):
                 coinv = sum(1 for u, v in data.g.edges if values[u - 1] < values[v - 1])
                 assert inv + coinv == pairs
+                assert 0 <= arm_des <= sum(arm for _, arm, _ in data.down_edges)
     assert _report("7 (edge counts and inv+coinv identity, n<=5)", True)
 
 

@@ -86,6 +86,12 @@ def test_sandwich_graphs():
     assert graphs[0] == d.g
     assert graphs[-1] == d.g_plus
     assert len(set(graphs)) == 4
+    # bit i of a mask adds added[i], the i-th down-edge; no other mask is a sandwich graph
+    assert d.added == tuple(edge for edge, _, _ in d.down_edges)
+    assert graphs[1] == d.sandwich(1) == d.g.with_edges([d.added[0]])
+    for mask in (-1, 4):
+        with pytest.raises(ValueError):
+            d.sandwich(mask)
     single = attacking_data((4,))
     assert list(sandwich_graphs(single)) == [single.g]
     for n in range(1, 8):

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from macchroma.chromatic import IdentityViolation, coloring_census, from_census
@@ -14,8 +12,9 @@ from macchroma.jack import (
 )
 from macchroma.macdonald import _down_edge_places, ift_enumerate, non_attacking_fillings
 from macchroma.rings import AlphaPoly
-from macchroma.shapes import conjugate, partitions_of
-from macchroma.symfunc import SymFunc, convert
+from macchroma.shapes import partitions_of
+from macchroma.symfunc import SymFunc
+from ring_values import constant_value
 
 A = AlphaPoly.parse
 
@@ -89,17 +88,9 @@ def _jack_chromatic_by_sandwich_graphs(mu):
             weight = weight * (-hooks[i] if mask >> i & 1 else AlphaPoly.one() + hooks[i])
         (x_h,) = from_census(coloring_census(h))
         total = total + SymFunc(n, "monomial", {
-            lam: weight.scale(_constant_value(c.substitute_t(1, 0))) for lam, c in x_h.coeffs.items()
+            lam: weight.scale(constant_value(c.substitute_t(1, 0))) for lam, c in x_h.coeffs.items()
         }, AlphaPoly)
     return total
-
-
-def _constant_value(p) -> Fraction:
-    """The value of a constant polynomial (every exponent zero)."""
-    origin = (0,) * len(p.VARS)
-    if set(p.terms) - {origin}:
-        raise ValueError(f"not a constant polynomial: {p}")
-    return p.terms.get(origin, Fraction(0))
 
 
 def test_jack_chromatic_matches_sum_over_sandwich_graphs():
@@ -226,28 +217,6 @@ def test_jack_chromatic_is_independent_of_the_knop_sahi_table(monkeypatch):
     monkeypatch.setattr(jack, "mask_products", swapped)
     for mu in [(1, 1), (2, 1), (1, 1, 1), (2, 2)]:
         assert jack_chromatic(mu) != jack_knop_sahi(mu), mu
-
-
-def test_four_way_equality_small():
-    for n in range(1, 6):
-        for mu in partitions_of(n):
-            reference = jack_knop_sahi(mu)
-            assert jack_chromatic(mu) == reference
-            assert convert(jack_schur(mu), "monomial") == reference
-            assert convert(jack_power(mu), "monomial") == reference
-
-
-def test_alpha_one_collapses_to_single_schur_index():
-    for n in range(1, 6):
-        for mu in partitions_of(n):
-            schur = jack_schur(mu)
-            target = conjugate(mu)
-            for lam, c in schur.coeffs.items():
-                value = c.substitute(1)
-                if lam == target:
-                    assert value != 0
-                else:
-                    assert value == 0
 
 
 def test_degree_zero():

@@ -16,7 +16,7 @@ from macchroma.macdonald import (
     wt_p,
 )
 from macchroma.rings import LaurentQT
-from macchroma.shapes import conjugate, n_stat, partitions_of
+from macchroma.shapes import partitions_of
 from macchroma.symfunc import convert
 
 P = LaurentQT.parse
@@ -122,30 +122,6 @@ def test_wt_mu_value_type_222():
     assert str(wt_mu((2, 2, 2), rows)) == str(expected)
 
 
-def test_wt_mu_polynomiality():
-    for n in range(1, 7):
-        for mu in partitions_of(n):
-            for _, rows in ift_enumerate(mu):
-                w = wt_mu(mu, rows)
-                assert not w.has_negative_exponents()
-                assert w.is_integral()
-
-
-def test_filling_statistics_identity():
-    for n in range(1, 6):
-        for mu in partitions_of(n):
-            data = attacking_data(mu)
-            pairs = len(data.g.edges)
-            expected = 2 * n_stat(conjugate(mu)) - mu[0] * (mu[0] - 1) // 2
-            assert pairs == expected
-            for values, maj, inv, arm_des, mask in non_attacking_fillings(mu):
-                coinv = sum(
-                    1 for u, v in data.g.edges if values[u - 1] < values[v - 1]
-                )
-                assert inv + coinv == expected
-                assert 0 <= arm_des <= sum(a for _, a, _ in data.down_edges)
-
-
 def _brute_fillings(mu):
     """Every full (values, maj, inv, arm_des, equal_mask) tuple, over all n^n
     maps of the cells to 1..n in lexicographic order, from the definitions:
@@ -214,15 +190,6 @@ def test_chromatic_sum_factors_for_32():
         assert -(P("1") - LaurentQT.term(1, leg_u + 1, arm_u)) == inn[i]
     assert expected[0b01] == -(P("1 - q*t") * P("1 - q*t"))
     assert prefactor((3, 2)) == LaurentQT.term(1, 0, -1) * P("1 - t") ** 3
-
-
-def test_four_way_equality_small():
-    for n in range(1, 6):
-        for mu in partitions_of(n):
-            reference = j_hhl(mu)
-            assert j_chromatic(mu) == reference
-            assert convert(j_schur(mu), "monomial") == reference
-            assert convert(j_power(mu), "monomial") == reference
 
 
 def test_hhl_output_is_polynomial():
