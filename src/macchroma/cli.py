@@ -27,19 +27,8 @@ from .shapes import conjugate, parse_partition
 from .symfunc import convert
 from .verify import run_conjecture, run_suites
 
-_JQT_METHODS = {
-    "hhl": macmod.j_hhl,
-    "chromatic": macmod.j_chromatic,
-    "tableaux": macmod.j_schur,
-    "powersum": macmod.j_power,
-}
-
-_JACK_METHODS = {
-    "knop-sahi": jackmod.jack_knop_sahi,
-    "chromatic": jackmod.jack_chromatic,
-    "tableaux": jackmod.jack_schur,
-    "subsets": jackmod.jack_power,
-}
+_JQT_METHODS = macmod.ROUTES
+_JACK_METHODS = jackmod.ROUTES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,15 +38,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, methods=None):
+    def add_common(p, methods):
         p.add_argument("--mu", required=True,
                        help="diagram partition, comma separated (e.g. 3,1)")
         p.add_argument("--prime", action="store_true",
                        help="treat --mu as the output index and conjugate internally")
         p.add_argument("--basis", choices=("monomial", "schur", "power"),
                        default="monomial")
-        if methods is not None:
-            p.add_argument("--method", choices=tuple(methods), default=next(iter(methods)))
+        p.add_argument("--method", choices=tuple(methods), default=next(iter(methods)))
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     add_common(sub.add_parser("jqt", help="integral form Macdonald polynomial of the conjugate diagram"),

@@ -5,10 +5,10 @@ The routes mirror the q,t case: Knop-Sahi non-attacking fillings (the
 reference route, read from ``macdonald.non_attacking_fillings``), a
 chromatic-sum formula over sandwich graphs, an integral form tableau Schur
 formula (``wt_alpha`` reads ``wt_mu``'s down-edge places), and an
-edge-subset power sum formula signed by overlap with G.  Every
-weight is a product of hooks ``a*(leg+1) + arm`` attached to the upper cell
-of a down-edge.  As with the q,t case, the output index is the conjugate of
-the input diagram.
+edge-subset power sum formula signed by overlap with G.  Every weight is a
+product of hooks ``a*(leg+1) + arm`` attached to the upper cell of a
+down-edge.  As with the q,t case, the output index is the conjugate of the
+input diagram.  ``ROUTES`` names the routes by CLI method, reference first.
 
 Every route counts its objects as integers per key before it builds any
 polynomial, and scales each key's weight once by its count: the filling
@@ -172,3 +172,6 @@ def jack_power(mu) -> SymFunc:
         by_added[added] = by_added.get(added, 0) + sign
     return SymFunc(n, "power", {lam: _weighted_sum(hooks_by_mask, by_added) for lam, by_added in counts.items()},
                    AlphaPoly)
+
+
+ROUTES = {"knop-sahi": jack_knop_sahi, "chromatic": jack_chromatic, "tableaux": jack_schur, "subsets": jack_power}

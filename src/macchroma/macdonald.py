@@ -13,6 +13,8 @@ All four return the polynomial indexed by the conjugate of the input diagram
                       factor per down-edge place (``_down_edge_places``),
 * ``j_power``      -- block permutations with case-by-case edge weights.
 
+``ROUTES`` names the routes by CLI method, reference first.
+
 Intermediate values are Laurent (negative t-exponents appear inside both the
 filling and tableau weights); the final expansions must come out polynomial,
 and ``j_chromatic`` raises ``IdentityViolation`` if they do not.
@@ -273,3 +275,6 @@ def j_power(mu) -> SymFunc:
         return total * pref
 
     return _omega_power(sum(mu), coeff)
+
+
+ROUTES = {"hhl": j_hhl, "chromatic": j_chromatic, "tableaux": j_schur, "powersum": j_power}

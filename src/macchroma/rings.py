@@ -269,6 +269,8 @@ class LaurentQT:
     def _substitute(self, var: int, sign: int, exp: int) -> "LaurentQT":
         """Replace variable ``var`` (0 for q, 1 for t) by ``sign`` times the
         other variable to the power ``exp``."""
+        if self.VARS != ("q", "t"):
+            raise TypeError(f"{type(self).__name__} has no q or t to substitute")
         if sign not in (1, -1):
             raise ValueError("substitution image must have coefficient +1 or -1")
         acc: dict[tuple[int, ...], int | Fraction] = {}
@@ -329,6 +331,8 @@ class LaurentQT:
         Requires a pure t-polynomial (q-exponent zero everywhere); interior
         zero coefficients count in the sequence.
         """
+        if self.VARS != ("q", "t"):
+            raise TypeError(f"{type(self).__name__} is not a polynomial in q and t")
         if any(qa != 0 for qa, _ in self._terms):
             raise ValueError("mixed q,t input")
         if not self._terms:
@@ -369,7 +373,7 @@ class AlphaPoly(LaurentQT):
     exponents are rejected.
 
     The q,t-specific methods (``substitute_q``/``substitute_t``,
-    ``is_palindromic_in_t``) do not apply to it.
+    ``is_palindromic_in_t``) raise ``TypeError`` on it.
     """
 
     __slots__ = ()

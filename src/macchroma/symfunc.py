@@ -43,10 +43,13 @@ class SymFunc:
     def __init__(self, degree, basis, coeffs, ring):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
+        if degree < 0:
+            raise ValueError(f"negative degree {degree}")
         tidy = {}
         for lam, c in coeffs.items():
             lam = tuple(lam)
-            if sum(lam) != degree:
+            # inline, not shapes.check_partition: every route builds SymFuncs
+            if sum(lam) != degree or (lam and lam[-1] < 1) or list(lam) != sorted(lam, reverse=True):
                 raise ValueError(f"index {lam} is not a partition of {degree}")
             if not c.is_zero():
                 tidy[lam] = c

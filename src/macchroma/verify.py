@@ -79,11 +79,15 @@ def _first_mismatch(mu, check, basis, reference, candidate):
     return None
 
 
-def _first_route_mismatch(mu, reference, routes):
-    """Compare each (check name, SymFunc) route with the monomial reference,
-    in order, and return the first counterexample."""
-    for check, f in routes:
-        bad = _first_mismatch(mu, check, "monomial", reference, convert(f, "monomial"))
+def _route_mismatch(mu, routes, values):
+    """Run each route of a family table after the reference (the first), in
+    table order, keeping its value in ``values`` by method name, and compare
+    it in the monomial basis with the reference's value there; the first
+    mismatch, named ``<method>_vs_<reference>``, ends the walk."""
+    reference, *others = routes
+    for method in others:
+        values[method] = f = routes[method](mu)
+        bad = _first_mismatch(mu, f"{method}_vs_{reference}", "monomial", values[reference], convert(f, "monomial"))
         if bad:
             return bad
     return None
@@ -101,16 +105,12 @@ def check_macdonald_mu(mu) -> dict:
     if len(data.g.edges) != want:
         return _counterexample(mu, "attacking_edge_count", None, None, str(want), str(len(data.g.edges)))
 
-    reference = macmod.j_hhl(mu)
-    for lam, c in reference.coeffs.items():
+    reference = next(iter(macmod.ROUTES))
+    values = {reference: macmod.ROUTES[reference](mu)}
+    for lam, c in values[reference].coeffs.items():
         if c.has_negative_exponents() or not c.is_integral():
-            return _counterexample(mu, "hhl_polynomial", "monomial", lam, "element of Z[q,t]", str(c))
-
-    bad = _first_route_mismatch(mu, reference, [
-        ("chromatic_vs_hhl", macmod.j_chromatic(mu)),
-        ("schur_vs_hhl", macmod.j_schur(mu)),
-        ("power_vs_hhl", macmod.j_power(mu)),
-    ])
+            return _counterexample(mu, f"{reference}_polynomial", "monomial", lam, "element of Z[q,t]", str(c))
+    bad = _route_mismatch(mu, macmod.ROUTES, values)
     if bad:
         return bad
 
@@ -124,17 +124,14 @@ def check_macdonald_mu(mu) -> dict:
 
 def check_jack_mu(mu) -> dict:
     mu = check_partition(mu)
-    schur = jackmod.jack_schur(mu)
-    bad = _first_route_mismatch(mu, jackmod.jack_knop_sahi(mu), [
-        ("chromatic_vs_knop_sahi", jackmod.jack_chromatic(mu)),
-        ("schur_vs_knop_sahi", schur),
-        ("power_vs_knop_sahi", jackmod.jack_power(mu)),
-    ])
+    reference = next(iter(jackmod.ROUTES))
+    values = {reference: jackmod.ROUTES[reference](mu)}
+    bad = _route_mismatch(mu, jackmod.ROUTES, values)
     if bad:
         return bad
     # at parameter value 1 the Schur expansion collapses onto the conjugate index
     target = conjugate(mu)
-    for lam, c in schur.coeffs.items():
+    for lam, c in values["tableaux"].coeffs.items():
         value = c.substitute(1)
         if lam != target and value != 0:
             return _counterexample(mu, "alpha_one_schur_support", "schur", lam, "0", str(value))

@@ -1,6 +1,16 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules.
+
+``P`` and ``A`` read a q,t and a deformation-parameter polynomial from text;
+the test modules import them from here, so this is the one place that names
+the parser.
+"""
 
 from fractions import Fraction
+
+from macchroma.rings import AlphaPoly, LaurentQT
+
+P = LaurentQT.parse
+A = AlphaPoly.parse
 
 
 def constant_value(p) -> Fraction:

@@ -29,10 +29,7 @@ from macchroma.rings import AlphaPoly, LaurentQT
 from macchroma.shapes import conjugate, n_stat, partitions_of
 from macchroma.symfunc import convert
 from macchroma.verify import run_conjecture
-from ring_values import constant_value
-
-P = LaurentQT.parse
-A = AlphaPoly.parse
+from ring_values import A, P, constant_value
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):

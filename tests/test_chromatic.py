@@ -31,9 +31,7 @@ from macchroma.graphs import UGraph, attacking_data, sandwich_graphs
 from macchroma.rings import LaurentQT
 from macchroma.shapes import partitions_of
 from macchroma.symfunc import SymFunc, convert
-from ring_values import constant_value
-
-P = LaurentQT.parse
+from ring_values import P, constant_value
 
 
 def test_x_g_empty_graph():

@@ -2,10 +2,9 @@ import json
 
 import pytest
 
+from macchroma import cli, jack, macdonald
 from macchroma.cli import main
-from macchroma.rings import LaurentQT
-
-P = LaurentQT.parse
+from ring_values import P
 
 
 def run(capsys, *argv):
@@ -46,12 +45,21 @@ def test_jack_power_subsets_contains_known_coefficient(capsys):
 
 def test_methods_agree_across_bases(capsys):
     outputs = []
-    for method in ("hhl", "chromatic", "tableaux", "powersum"):
+    for method in macdonald.ROUTES:
         code, out, _ = run(capsys, "jqt", "--mu", "2,1", "--basis", "monomial",
                            "--method", method, "--format", "json")
         assert code == 0
         outputs.append(out)
     assert len(set(outputs)) == 1
+
+
+@pytest.mark.parametrize("command, routes", [("jqt", macdonald.ROUTES), ("jack", jack.ROUTES)])
+def test_method_choices_are_the_family_route_table(command, routes):
+    assert {"jqt": cli._JQT_METHODS, "jack": cli._JACK_METHODS}[command] is routes
+    (subcommands,) = cli._build_parser()._subparsers._group_actions
+    (method,) = [action for action in subcommands.choices[command]._actions if action.dest == "method"]
+    assert method.choices == tuple(routes)
+    assert method.default == next(iter(routes))
 
 
 def test_prime_flag_conjugates(capsys):

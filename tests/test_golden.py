@@ -3,7 +3,8 @@ a committed table.
 
 ``golden_digests.json`` maps each command to the SHA-256 of its stdout:
 every ``--basis power``, ``--basis monomial`` and ``--basis schur`` command
-of ``jqt`` and ``jack`` (each method) and of ``chromatic`` (attacking and
+of ``jqt`` and ``jack`` (each method of ``macdonald.ROUTES`` and
+``jack.ROUTES``, in table order) and of ``chromatic`` (attacking and
 augmented graph, and every sandwich graph by its ``mask:<bits>``, each with
 and without ``--llt``), for every mu |- n <= 5, all in text format.  From
 the root of a checkout,
@@ -26,6 +27,7 @@ import json
 import sys
 from pathlib import Path
 
+from macchroma import jack, macdonald
 from macchroma.cli import main
 from macchroma.graphs import attacking_data
 from macchroma.shapes import partitions_of
@@ -38,10 +40,9 @@ def commands(basis):
     for n in range(1, 6):
         for mu in partitions_of(n):
             flag = ["--mu", ",".join(map(str, mu)), "--basis", basis]
-            for method in ("hhl", "chromatic", "tableaux", "powersum"):
-                yield ["jqt", *flag, "--method", method]
-            for method in ("knop-sahi", "chromatic", "tableaux", "subsets"):
-                yield ["jack", *flag, "--method", method]
+            for command, routes in (("jqt", macdonald.ROUTES), ("jack", jack.ROUTES)):
+                for method in routes:
+                    yield [command, *flag, "--method", method]
             for graph in ("attacking", "augmented"):
                 yield ["chromatic", *flag, "--graph", graph]
                 yield ["chromatic", *flag, "--graph", graph, "--llt"]

@@ -14,9 +14,7 @@ from macchroma.macdonald import _down_edge_places, ift_enumerate, non_attacking_
 from macchroma.rings import AlphaPoly
 from macchroma.shapes import partitions_of
 from macchroma.symfunc import SymFunc
-from ring_values import constant_value
-
-A = AlphaPoly.parse
+from ring_values import A, constant_value
 
 
 def test_degree_one():

@@ -18,8 +18,7 @@ from macchroma.macdonald import (
 from macchroma.rings import LaurentQT
 from macchroma.shapes import partitions_of
 from macchroma.symfunc import convert
-
-P = LaurentQT.parse
+from ring_values import P
 
 
 def test_degree_one():

@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from macchroma.rings import AlphaPoly, InexactDivision, LaurentQT, mask_products
-
-P = LaurentQT.parse
-A = AlphaPoly.parse
+from ring_values import A, P
 
 
 def random_laurent(rng, max_terms=4, span=5):
@@ -144,12 +142,12 @@ def test_string_round_trip_random():
     rng = random.Random(1234)
     for _ in range(500):
         p = random_laurent(rng)
-        assert LaurentQT.parse(str(p)) == p
+        assert P(str(p)) == p
     for _ in range(300):
         coeffs = {(rng.randint(0, 6),): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                   for _ in range(rng.randint(0, 4))}
         ap = AlphaPoly(coeffs)
-        assert AlphaPoly.parse(str(ap)) == ap
+        assert A(str(ap)) == ap
 
 
 def test_canonical_strings():
@@ -180,6 +178,15 @@ def test_rings_do_not_mix():
     with pytest.raises(ValueError):
         LaurentQT.one() + AlphaPoly.one()
     assert AlphaPoly.zero() != LaurentQT.zero()
+
+
+@pytest.mark.parametrize("method, args", [("substitute_q", (1, 1)), ("substitute_t", (1, 1)),
+                                          ("is_palindromic_in_t", ())])
+def test_the_q_t_methods_reject_the_alpha_ring(method, args):
+    # each used to fail inside the q,t code (IndexError, ValueError)
+    with pytest.raises(TypeError, match="AlphaPoly"):
+        getattr(AlphaPoly.one(), method)(*args)
+    getattr(LaurentQT.one(), method)(*args)
 
 
 def test_immutability():

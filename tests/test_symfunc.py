@@ -18,8 +18,7 @@ from macchroma.symfunc import (
     transition_table,
     z_of,
 )
-
-P = LaurentQT.parse
+from ring_values import A, P
 
 
 def random_symfunc(rng, n, basis="monomial"):
@@ -209,7 +208,7 @@ def test_unitriangularity_of_kostka_table():
                 # p_lam only reaches m_mu for mu coarser than lam, so earlier in the order
                 assert table.power_to_monomial[j][i] == 0
         # both solves invert their forward matrix: p -> m -> p and s -> m -> s
-        for ring, c in ((LaurentQT, P("q - 2*t")), (AlphaPoly, AlphaPoly.parse("1 + a"))):
+        for ring, c in ((LaurentQT, P("q - 2*t")), (AlphaPoly, A("1 + a"))):
             for lam in table.partitions:
                 for basis in ("power", "schur"):
                     f = SymFunc(n, basis, {lam: c}, ring)
@@ -218,8 +217,8 @@ def test_unitriangularity_of_kostka_table():
 
 def test_alpha_ring_conversions():
     f = SymFunc(3, "monomial",
-                {(3,): AlphaPoly.parse("1 + a"), (2, 1): AlphaPoly.parse("2"),
-                 (1, 1, 1): AlphaPoly.parse("a^2")},
+                {(3,): A("1 + a"), (2, 1): A("2"),
+                 (1, 1, 1): A("a^2")},
                 AlphaPoly)
     for target in ("schur", "power"):
         assert convert(convert(f, target), "monomial") == f
@@ -229,6 +228,19 @@ def test_degree_zero():
     unit = SymFunc(0, "monomial", {(): LaurentQT.one()}, LaurentQT)
     assert convert(unit, "schur").coeffs == {(): LaurentQT.one()}
     assert convert(unit, "power").coeffs == {(): LaurentQT.one()}
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (3, 0)])
+def test_an_index_that_is_no_partition_is_rejected(lam):
+    # it used to reach convert, whose back-substitution then reported an
+    # identity violation for the malformed input
+    with pytest.raises(ValueError, match="not a partition of 3"):
+        SymFunc(3, "monomial", {lam: LaurentQT.one()}, LaurentQT)
+
+
+def test_a_negative_degree_is_rejected():
+    with pytest.raises(ValueError, match="negative degree"):
+        SymFunc(-1, "monomial", {}, LaurentQT)
 
 
 def test_json_shape():

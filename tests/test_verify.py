@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction
 
-from macchroma import chromatic, symfunc, verify
+from macchroma import chromatic, jack, macdonald, symfunc, verify
 from macchroma.graphs import UGraph, attacking_data
 from macchroma.rings import LaurentQT
 from macchroma.shapes import partitions_of
@@ -83,6 +83,23 @@ def test_a_wrong_power_route_reports_the_rational_counterexample(monkeypatch):
         monkeypatch.setattr(chromatic, "x_g_power", wrong)
         assert check_chromatic_mu((2, 1)) == {"mu": [2, 1], "check": "power_route_mask1", "basis": "power",
                                               "index": list(lam), "expected": expected, "actual": actual}
+
+
+def test_the_suites_compare_every_route_of_the_table_with_the_reference(monkeypatch):
+    # one perturbed coefficient in any non-reference route fails the family's
+    # suite under the route's CLI method name, and only while it is perturbed
+    for routes, item in ((macdonald.ROUTES, check_macdonald_mu), (jack.ROUTES, check_jack_mu)):
+        reference, *others = routes
+        for method in others:
+            def wrong(mu, real=routes[method]):
+                f = real(mu)
+                lam = max(f.coeffs)
+                return SymFunc(f.degree, f.basis, {**f.coeffs, lam: f.coeffs[lam] + f.ring.one()}, f.ring)
+
+            with monkeypatch.context() as patch:
+                patch.setitem(routes, method, wrong)
+                assert item((2, 1)).get("check") == f"{method}_vs_{reference}"
+            assert item((2, 1)) == {"mu": [2, 1], "status": "pass"}
 
 
 def test_run_suite_report_shape():
