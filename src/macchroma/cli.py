@@ -24,8 +24,8 @@ from . import macdonald as macmod
 from .chromatic import IdentityViolation, llt_g, x_g, x_g_power, x_g_schur
 from .graphs import attacking_data
 from .shapes import conjugate, parse_partition
-from .symfunc import convert
-from .verify import run_conjecture, run_suites
+from .symfunc import BASES, convert
+from .verify import CONJECTURES, SUITES, run_conjecture, run_suites
 
 _JQT_METHODS = macmod.ROUTES
 _JACK_METHODS = jackmod.ROUTES
@@ -43,8 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="diagram partition, comma separated (e.g. 3,1)")
         p.add_argument("--prime", action="store_true",
                        help="treat --mu as the output index and conjugate internally")
-        p.add_argument("--basis", choices=("monomial", "schur", "power"),
-                       default="monomial")
+        p.add_argument("--basis", choices=BASES, default="monomial")
         p.add_argument("--method", choices=tuple(methods), default=next(iter(methods)))
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -57,19 +56,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chrom.add_argument("--mu", required=True)
     p_chrom.add_argument("--graph", default="attacking",
                          help="attacking | augmented | mask:<bitstring over down-edges>")
-    p_chrom.add_argument("--basis", choices=("monomial", "schur", "power"), default="monomial")
+    p_chrom.add_argument("--basis", choices=BASES, default="monomial")
     p_chrom.add_argument("--llt", action="store_true",
                          help="use all colorings instead of proper colorings")
     p_chrom.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run cross-verification suites")
-    p_verify.add_argument("--suite", choices=("macdonald", "jack", "chromatic", "llt", "all"),
-                          default="all")
+    p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p_verify.add_argument("--max-n", type=int, default=3)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_conj = sub.add_parser("conjecture", help="run specialization conjecture scans")
-    p_conj.add_argument("--which", choices=("haglund", "palindromic"), required=True)
+    p_conj.add_argument("--which", choices=CONJECTURES, required=True)
     p_conj.add_argument("--max-n", type=int, default=3)
     p_conj.add_argument("--max-k", type=int, default=3)
     p_conj.add_argument("--format", choices=("text", "json"), default="text")

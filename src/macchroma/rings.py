@@ -10,8 +10,10 @@ implementation serves both:
 
 A value maps exponent tuples, one entry per variable (``(q_exp, t_exp)``,
 or ``(a_exp,)``), to nonzero coefficients, each an ``int`` or a
-``fractions.Fraction``.  Values built from ints (``one``, ``term`` and
-dicts of ints, and their sums, products and integer scalings) hold ints, so
+``fractions.Fraction``.  The constructor is the one place zero coefficients
+are dropped: arithmetic and substitution sum into a plain dict and hand it
+over whole.  Values built from ints (``one``, ``term`` and dicts of ints,
+and their sums, products and integer scalings) hold ints, so
 integer weights stay in integer arithmetic; a ``Fraction`` enters only
 through a division (1/z_lam, a non-unit pivot), through ``parse``, which
 reads every coefficient as a ``Fraction``, or as an argument, and an
@@ -206,11 +208,7 @@ class LaurentQT:
     def __add__(self, other):
         acc = dict(self._terms)
         for key, c in other._terms.items():
-            s = acc.get(key, 0) + c
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
+            acc[key] = acc.get(key, 0) + c
         return self.__class__(acc)
 
     def __neg__(self):
@@ -219,11 +217,7 @@ class LaurentQT:
     def __sub__(self, other):
         acc = dict(self._terms)
         for key, c in other._terms.items():
-            s = acc.get(key, 0) - c
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
+            acc[key] = acc.get(key, 0) - c
         return self.__class__(acc)
 
     def __mul__(self, other):
@@ -231,17 +225,11 @@ class LaurentQT:
         for k1, c in self._terms.items():
             for k2, d in other._terms.items():
                 key = tuple(map(add, k1, k2))
-                s = acc.get(key, 0) + c * d
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+                acc[key] = acc.get(key, 0) + c * d
         return self.__class__(acc)
 
     def scale(self, scalar):
         scalar = _as_coeff(scalar)
-        if scalar == 0:
-            return self.__class__()
         return self.__class__({key: c * scalar for key, c in self._terms.items()})
 
     def __pow__(self, k: int):
@@ -278,11 +266,7 @@ class LaurentQT:
             e = key[var]
             kept = key[1 - var] + e * exp
             image = (0, kept) if var == 0 else (kept, 0)
-            s = acc.get(image, 0) + (-c if sign < 0 and e % 2 else c)
-            if s:
-                acc[image] = s
-            else:
-                del acc[image]
+            acc[image] = acc.get(image, 0) + (-c if sign < 0 and e % 2 else c)
         return LaurentQT(acc)
 
     # -- division ----------------------------------------------------------

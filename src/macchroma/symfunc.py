@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from .rings import AlphaPoly, LaurentQT
+from .rings import AlphaPoly, LaurentQT, _exact
 from .shapes import IdentityViolation, conjugate, partitions_of
 
 BASES = ("monomial", "schur", "power")
@@ -51,6 +51,8 @@ class SymFunc:
             # inline, not shapes.check_partition: every route builds SymFuncs
             if sum(lam) != degree or (lam and lam[-1] < 1) or list(lam) != sorted(lam, reverse=True):
                 raise ValueError(f"index {lam} is not a partition of {degree}")
+            if c.__class__ is not ring:
+                raise TypeError(f"coefficient of {lam} is {type(c).__name__}, not {ring.__name__}")
             if not c.is_zero():
                 tidy[lam] = c
         self.degree = degree
@@ -257,8 +259,7 @@ def _apply(f: SymFunc, matrix) -> dict:
                 terms = acc[mu]
                 for key, d in c.terms.items():
                     terms[key] = terms.get(key, 0) + k * d
-    return {mu: f.ring({key: d.numerator if d.denominator == 1 else d for key, d in terms.items()})
-            for mu, terms in acc.items()}
+    return {mu: f.ring({key: _exact(d) for key, d in terms.items()}) for mu, terms in acc.items()}
 
 
 def _solve(f: SymFunc, matrix, order, basis: str) -> SymFunc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 
 from . import chromatic as chrom
 from . import jack as jackmod
@@ -20,9 +21,6 @@ from .graphs import attacking_data, hessenberg, sandwich_graphs
 from .rings import InexactDivision, LaurentQT
 from .shapes import check_partition, conjugate, n_stat, partitions_of
 from .symfunc import convert, power_pairings
-
-SUITES = ("macdonald", "jack", "chromatic", "llt")
-
 
 class VerifyReport:
     """Per-item pass/fail results plus the first counterexample, if any."""
@@ -178,6 +176,7 @@ _SUITE_ITEM = {
     "chromatic": check_chromatic_mu,
     "llt": check_llt_mu,
 }
+SUITES = tuple(_SUITE_ITEM)
 
 
 def worker_count() -> int:
@@ -189,48 +188,37 @@ def worker_count() -> int:
 
 
 def _run_mapped(fn, items, progress=None):
-    """Map fn over items, streaming each result to progress as it lands."""
-    workers = worker_count()
-    results = []
-    if workers > 1 and len(items) > 1:
+    """Map fn over items, on a process pool when MACCHROMA_THREADS asks for
+    more than one worker, streaming each result to progress as it lands."""
+    workers = min(worker_count(), len(items))
+    pool, mapped = nullcontext(), map
+    if workers > 1:
         import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(min(workers, len(items))) as pool:
-            for res in pool.imap(fn, items):
-                if progress:
-                    progress(res)
-                results.append(res)
-    else:
-        for item in items:
-            res = fn(item)
+        pool = mp.get_context("fork").Pool(workers)
+        mapped = pool.imap
+    results = []
+    with pool:
+        for res in mapped(fn, items):
             if progress:
                 progress(res)
             results.append(res)
     return results
 
 
-def _collect(results):
-    """Report items and the first counterexample; each failing item keeps
-    its own counterexample."""
-    items = []
-    counterexample = None
-    for res in results:
-        if "status" in res:
-            items.append(res)
-        else:
-            items.append({"mu": res["mu"], "status": "fail", "counterexample": res})
-            if counterexample is None:
-                counterexample = res
-    return items, counterexample
-
-
 def _report(name: str, fn, max_n: int, progress, *args) -> VerifyReport:
     """Run fn on every partition of 1..max_n, passing (mu, *args) when args
-    are given, and collect the results into one report."""
+    are given, and collect the results into one report: each failing item
+    keeps its own counterexample, and the report names the first."""
     start = time.perf_counter()
     mus = [mu for n in range(1, max_n + 1) for mu in partitions_of(n)]
-    jobs = [(mu, *args) for mu in mus] if args else mus
-    items, counterexample = _collect(_run_mapped(fn, jobs, progress))
+    items = []
+    counterexample = None
+    for res in _run_mapped(fn, [(mu, *args) for mu in mus] if args else mus, progress):
+        if "status" not in res:
+            counterexample = counterexample or res
+            res = {"mu": res["mu"], "status": "fail", "counterexample": res}
+        items.append(res)
     return VerifyReport(name, max_n, items, counterexample, time.perf_counter() - start)
 
 
@@ -307,6 +295,7 @@ def scan_palindromic_mu(args) -> dict:
 
 
 _CONJECTURES = {"haglund": scan_haglund_mu, "palindromic": scan_palindromic_mu}
+CONJECTURES = tuple(_CONJECTURES)
 
 
 def run_conjecture(which: str, max_n: int, max_k: int, progress=None) -> VerifyReport:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from macchroma import cli, jack, macdonald
+from macchroma import cli, jack, macdonald, symfunc, verify
 from macchroma.cli import main
 from ring_values import P
 
@@ -53,13 +53,27 @@ def test_methods_agree_across_bases(capsys):
     assert len(set(outputs)) == 1
 
 
+def _option(command, dest):
+    (subcommands,) = cli._build_parser()._subparsers._group_actions
+    (action,) = [action for action in subcommands.choices[command]._actions if action.dest == dest]
+    return action
+
+
 @pytest.mark.parametrize("command, routes", [("jqt", macdonald.ROUTES), ("jack", jack.ROUTES)])
 def test_method_choices_are_the_family_route_table(command, routes):
     assert {"jqt": cli._JQT_METHODS, "jack": cli._JACK_METHODS}[command] is routes
-    (subcommands,) = cli._build_parser()._subparsers._group_actions
-    (method,) = [action for action in subcommands.choices[command]._actions if action.dest == "method"]
+    method = _option(command, "method")
     assert method.choices == tuple(routes)
     assert method.default == next(iter(routes))
+
+
+def test_basis_suite_and_conjecture_choices_are_their_tables():
+    for command in ("jqt", "jack", "chromatic"):
+        assert _option(command, "basis").choices == symfunc.BASES
+    assert verify.SUITES == tuple(verify._SUITE_ITEM)
+    assert _option("verify", "suite").choices == (*verify.SUITES, "all")
+    assert verify.CONJECTURES == tuple(verify._CONJECTURES)
+    assert _option("conjecture", "which").choices == verify.CONJECTURES
 
 
 def test_prime_flag_conjugates(capsys):

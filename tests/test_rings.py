@@ -189,6 +189,34 @@ def test_the_q_t_methods_reject_the_alpha_ring(method, args):
     getattr(LaurentQT.one(), method)(*args)
 
 
+def test_cancelling_operations_leave_no_zero_coefficient():
+    # each operation sums into a plain dict; the constructor alone drops zeros
+    t, q = LaurentQT.term(1, 0, 1), LaurentQT.term(1, 1)
+    a = AlphaPoly.term(1, 1)
+    cases = [
+        (P("1 + t") + P("2 - t"), LaurentQT({(0, 0): 3})),
+        (P("1 + t") + P("-1 - t"), LaurentQT()),
+        ((LaurentQT.one() + t) - (LaurentQT.one() + t.scale(2)), LaurentQT({(0, 1): -1})),
+        ((q - t) - (q - t), LaurentQT()),
+        ((LaurentQT.one() + t) * (LaurentQT.one() - t), LaurentQT({(0, 0): 1, (0, 2): -1})),
+        (P("1/2 + q*t^-1") * P("1/2 - q*t^-1"), LaurentQT({(0, 0): Fraction(1, 4), (2, -2): -1})),
+        ((a + AlphaPoly.one()) * (a - AlphaPoly.one()), AlphaPoly({(2,): 1, (0,): -1})),
+        ((q - t + q * t).substitute_q(1, 1), LaurentQT({(0, 2): 1})),
+        ((q + t).substitute_q(-1, 1), LaurentQT()),
+        ((t - q + LaurentQT.one()).substitute_t(1, 1), LaurentQT.one()),
+        (P("1 - q*t").substitute_t(1, -1), LaurentQT()),
+        (P("1/3 - q").scale(0), LaurentQT()),
+        (P("1 + t").scale(Fraction(0)), LaurentQT()),
+        ((a + AlphaPoly.one()).scale(0), AlphaPoly()),
+        (P("1 - t^2").exact_div(P("1 - t")), LaurentQT({(0, 0): 1, (0, 1): 1})),
+        (P("q^2 - t^2").exact_div(P("q + t")), LaurentQT({(1, 0): 1, (0, 1): -1})),
+        ((a * a - AlphaPoly.one()).exact_div(a - AlphaPoly.one()), AlphaPoly({(1,): 1, (0,): 1})),
+    ]
+    for value, direct in cases:
+        assert all(value.terms.values()), value.terms
+        assert value == direct and value.terms == direct.terms
+
+
 def test_immutability():
     p = P("1 - t")
     with pytest.raises(AttributeError):

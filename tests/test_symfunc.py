@@ -243,6 +243,14 @@ def test_a_negative_degree_is_rejected():
         SymFunc(-1, "monomial", {}, LaurentQT)
 
 
+@pytest.mark.parametrize("coeff, ring", [(AlphaPoly.one(), LaurentQT), (LaurentQT.one(), AlphaPoly),
+                                         (AlphaPoly.zero(), LaurentQT)])
+def test_a_coefficient_outside_the_ring_is_rejected(coeff, ring):
+    # it used to be accepted, and convert then failed on the key shape
+    with pytest.raises(TypeError, match=f"{type(coeff).__name__}, not {ring.__name__}"):
+        SymFunc(2, "monomial", {(2,): coeff}, ring)
+
+
 def test_json_shape():
     f = SymFunc(4, "schur", {(2, 2): P("1 - q*t")}, LaurentQT)
     blob = f.to_json_dict()
