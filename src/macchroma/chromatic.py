@@ -24,21 +24,20 @@ share ``_omega_power``, which makes omega of sum c_lambda/z_lambda p_lambda, and
 The monomial routes share one enumeration, ``coloring_census``: the
 colorings of a graph G (``graphs.colorings`` with palette n, proper or all
 of them), counted per exponent vector by their ascents on G and by which of
-k added edges they leave monochromatic or ascending.  Every
-sandwich graph H = G + (a subset of the added edges) is then read off that
-census by ``from_census``: a coloring is H-proper iff no added edge of H is
-monochromatic, and its H-ascents are its G-ascents plus the ascending added
-edges of H.  ``from_census`` is the one reader of a census: one walk gives
-every sandwich graph, as a tuple indexed by mask.  ``x_g`` and ``llt_g``
-are entry 0 of a census with no added edge (for the empty graph, the one
-empty coloring), and ``jack.jack_chromatic`` sums the t = 1 values
+k added edges they leave monochromatic or ascending.  In the same call every
+sandwich graph H = G + (a subset of the added edges) is read off those
+counts: a coloring is H-proper iff no added edge of H is monochromatic, and
+its H-ascents are its G-ascents plus the ascending added edges of H.  So one
+call gives every sandwich graph, as a tuple indexed by mask.  ``x_g`` and
+``llt_g`` are entry 0 of a census with no added edge (for the empty graph,
+the one empty coloring), and ``jack.jack_chromatic`` sums the t = 1 values
 X_H(x; 1) of the whole tuple.
 
-Every sandwich graph read off by ``from_census`` is audited for symmetry
+Every sandwich graph ``coloring_census`` returns is audited for symmetry
 over full exponent vectors before monomial coefficients are taken: every
 rearrangement of a content must carry the same counts.  An asymmetric
 result means the graph is outside the class the expansion theorems cover,
-and raises ``IdentityViolation`` for the whole read.
+and raises ``IdentityViolation`` for the whole census.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial
-from typing import NamedTuple
 
 from .graphs import IdentityViolation, UGraph, colorings, hessenberg
 from .rings import LaurentQT
@@ -67,9 +65,7 @@ __all__ = [
     "graph_tableaux",
     "perm_inv",
     "t_analogue",
-    "ColoringCensus",
     "coloring_census",
-    "from_census",
 ]
 
 
@@ -77,23 +73,13 @@ __all__ = [
 # Coloring census and monomial collection
 # ---------------------------------------------------------------------------
 
-class ColoringCensus(NamedTuple):
-    """Palette-n colorings of a graph G, proper for G or all of them.
-
-    ``counts`` is {exponent vector: {key: count}}; a coloring's key packs
-    ``asc_G << 2k | equal_mask << k | ascent_mask``, where bit i of
-    ``equal_mask`` (``ascent_mask``) is set when added edge i is
-    monochromatic (an ascent) under it.
-    """
-
-    n: int
-    k: int
-    proper: bool
-    counts: dict
-
-
-def coloring_census(g: UGraph, added=(), proper: bool = True) -> ColoringCensus:
-    """Count the colorings of g once for every sandwich graph g + added[mask].
+def coloring_census(g: UGraph, added=(), proper: bool = True) -> tuple:
+    """X_H (``proper``) or LLT_H (all colorings) in the monomial basis for
+    every sandwich graph H = g + (a subset of ``added``), from one
+    enumeration of g's palette-n colorings, as a tuple indexed by mask:
+    entry ``mask`` is H = g plus the added edges whose bits are set in it.
+    Each coefficient is the ascent generating polynomial in t; X_H(x; 1) is
+    the sum of its coefficients.
 
     ``added`` lists k new edges of G+; each must join two distinct vertices
     of g that g does not already join, and appear once.
@@ -104,7 +90,9 @@ def coloring_census(g: UGraph, added=(), proper: bool = True) -> ColoringCensus:
         raise ValueError(f"added edges {list(added)} are not {k} distinct new edges of the graph")
     edges = [(min(u, v) - 1, max(u, v) - 1, 1 << (k + i), 1 << i) for i, (u, v) in enumerate(added)]
     # one int per coloring: its exponent vector (n.bit_length() bits per
-    # color) above its key, unpacked once per distinct value at the end
+    # color) above its key ``asc_G << 2k | equal_mask << k | ascent_mask``,
+    # where bit i of equal_mask (ascent_mask) is set when added edge i is
+    # monochromatic (an ascent) under it; unpacked once per distinct value
     low = 2 * k + len(g.edges).bit_length()
     width = n.bit_length()
     weight = [0] + [1 << (low + width * i) for i in range(n)]
@@ -120,11 +108,31 @@ def coloring_census(g: UGraph, added=(), proper: bool = True) -> ColoringCensus:
             elif coloring[u] < coloring[v]:
                 key |= ascent_bit
         packed[key] = packed.get(key, 0) + 1
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    counts: dict[tuple[int, ...], dict[int, int]] = {}  # {exponent vector: {key: count}}
     for key, count in packed.items():
         vec = tuple(key >> (low + width * i) & ((1 << width) - 1) for i in range(n))
         counts.setdefault(vec, {})[key & ((1 << low) - 1)] = count
-    return ColoringCensus(n, k, proper, counts)
+
+    # a coloring is H-proper iff no added edge of H is monochromatic, and its
+    # H-ascents are its G-ascents plus the ascending added edges of H
+    full = (1 << k) - 1
+    # the masks whose H leaves a coloring proper: those avoiding its equal bits
+    avoiding = [[mask for mask in range(1 << k) if not equal & mask] for equal in range(1 << k)]
+    hists = [{} for _ in range(1 << k)]  # per mask: {exponent vector: {ascents: count}}
+    for vec, by_key in counts.items():
+        by_mask = [{} for _ in hists]
+        for key, count in by_key.items():
+            asc_g = key >> shift
+            for mask in avoiding[key >> k & full if proper else 0]:
+                hist = by_mask[mask]
+                asc = asc_g + (key & mask).bit_count()
+                hist[asc] = hist.get(asc, 0) + count
+        for by_vec, hist in zip(hists, by_mask):
+            if hist:
+                by_vec[vec] = hist
+    for by_vec in hists:
+        _audit_symmetry(by_vec, "X_H" if proper else "LLT_G")
+    return tuple(monomial_from_contents(by_vec, n, LaurentQT, _t_poly) for by_vec in hists)
 
 
 def _t_poly(hist) -> LaurentQT:
@@ -150,46 +158,18 @@ def _audit_symmetry(census, what: str):
             raise IdentityViolation(f"{what} not symmetric (type {typ})")
 
 
-def from_census(census: ColoringCensus) -> tuple:
-    """X_H (a proper census) or LLT_H (an all-colorings census) in the
-    monomial basis for every sandwich graph H, as a tuple indexed by mask:
-    entry ``mask`` is H = G plus the added edges whose bits are set in it.
-    Each coefficient is the ascent generating polynomial in t; X_H(x; 1) is
-    the sum of its coefficients."""
-    k = census.k
-    shift = 2 * k
-    full = (1 << k) - 1
-    # the masks whose H leaves a coloring proper: those avoiding its equal bits
-    avoiding = [[mask for mask in range(1 << k) if not equal & mask] for equal in range(1 << k)]
-    hists = [{} for _ in range(1 << k)]  # per mask: {exponent vector: {ascents: count}}
-    for vec, counts in census.counts.items():
-        by_mask = [{} for _ in hists]
-        for key, count in counts.items():
-            asc_g = key >> shift
-            for mask in avoiding[key >> k & full if census.proper else 0]:
-                hist = by_mask[mask]
-                asc = asc_g + (key & mask).bit_count()
-                hist[asc] = hist.get(asc, 0) + count
-        for by_vec, hist in zip(hists, by_mask):
-            if hist:
-                by_vec[vec] = hist
-    for by_vec in hists:
-        _audit_symmetry(by_vec, "X_H" if census.proper else "LLT_G")
-    return tuple(monomial_from_contents(by_vec, census.n, LaurentQT, _t_poly) for by_vec in hists)
-
-
 def x_g(h: UGraph) -> SymFunc:
     """Chromatic quasisymmetric function X_H(x; t) in the monomial basis:
     each monomial's coefficient is the ascent generating polynomial in t
-    of its proper colorings.  This is entry 0 of ``from_census`` of h's own
-    census, which has no added edge."""
-    return from_census(coloring_census(h))[0]
+    of its proper colorings.  This is entry 0 of h's own
+    ``coloring_census``, which has no added edge."""
+    return coloring_census(h)[0]
 
 
 def llt_g(h: UGraph) -> SymFunc:
     """Ascent generating function over all (not necessarily proper) colorings;
-    entry 0 of ``from_census`` of h's all-colorings census."""
-    return from_census(coloring_census(h, proper=False))[0]
+    entry 0 of h's all-colorings ``coloring_census``."""
+    return coloring_census(h, proper=False)[0]
 
 
 # ---------------------------------------------------------------------------

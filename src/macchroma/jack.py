@@ -21,10 +21,10 @@ routes read their per-down-edge weight products from one table by mask
 
 The chromatic-sum route is the paper's sum over the sandwich graphs
 G <= H <= G+: one coloring census of the attacking graph
-(``coloring_census``) is read once by ``from_census``, which gives every
-X_H, and each X_H(x; 1) is weighted by its mask's product of the
-unsimplified (out_i, in_i) factors.  No factor is summed in advance, so this
-route's weight table is not the Knop-Sahi route's.
+(``coloring_census``) gives every X_H, and each X_H(x; 1) is weighted by
+its mask's product of the unsimplified (out_i, in_i) factors.  No factor is
+summed in advance, so this route's weight table is not the Knop-Sahi
+route's.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from collections import Counter
 
 # x_g is not called here; the name stays importable from jack because
 # perfbench's tracer self-tests check that every reference to it is wrapped
-from .chromatic import coloring_census, from_census, x_g  # noqa: F401
+from .chromatic import coloring_census, x_g  # noqa: F401
 from .graphs import UGraph, attacking_data, component_partition
 from .macdonald import _down_edge_places, ift_enumerate, non_attacking_fillings
 from .rings import AlphaPoly, mask_products
@@ -84,8 +84,8 @@ def jack_chromatic(mu) -> SymFunc:
     The formula sums w(H) X_H(x; 1) over the sandwich graphs G <= H <= G+,
     where G is the attacking graph, added edge i is the down-edge of a cell
     with hook h_i, and w(H) = prod over added edges of in_i = -h_i (edge in
-    H) or out_i = 1 + h_i (not).  Every X_H is read off one coloring census
-    of G in one ``from_census`` call, which audits each H for symmetry; the
+    H) or out_i = 1 + h_i (not).  Every X_H comes from one
+    ``coloring_census`` of G, which audits each H for symmetry; the
     integer X_H(x; 1) coefficients are gathered per (content, mask) and each
     is weighted once.
     """
@@ -93,9 +93,8 @@ def jack_chromatic(mu) -> SymFunc:
     data = attacking_data(mu)
     hooks = [hook_alpha(arm_u, leg_u) for (_, arm_u, leg_u) in data.down_edges]
     weights = mask_products(AlphaPoly.one(), [(AlphaPoly.one() + hook, -hook) for hook in hooks])
-    census = coloring_census(data.g, data.added)
     counts: dict[tuple[int, ...], dict[int, int]] = {}  # {lam: {mask: [m_lam] X_H(x; 1)}}
-    for mask, x in enumerate(from_census(census)):
+    for mask, x in enumerate(coloring_census(data.g, data.added)):
         for lam, c in x.coeffs.items():
             # X_H(x; 1): the coefficient's ascent polynomial at t = 1
             counts.setdefault(lam, {})[mask] = sum(c.terms.values())

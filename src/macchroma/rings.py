@@ -305,6 +305,10 @@ class LaurentQT:
                 else:
                     del rem[key]
         offset = tuple(map(sub, va, vd))
+        # the quotient's lowest exponents are the offset; one below the class's
+        # lowest exponent (short of overflow) makes a quotient outside the ring
+        if -_EXP_BOUND < min(offset) < self._MIN_EXP:
+            raise InexactDivision("quotient has an exponent below the ring's lowest")
         return self.__class__({tuple(map(add, key, offset)): c for key, c in quot.items()})
 
     # -- predicates --------------------------------------------------------

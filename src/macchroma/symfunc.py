@@ -49,7 +49,8 @@ class SymFunc:
         for lam, c in coeffs.items():
             lam = tuple(lam)
             # inline, not shapes.check_partition: every route builds SymFuncs
-            if sum(lam) != degree or (lam and lam[-1] < 1) or list(lam) != sorted(lam, reverse=True):
+            if (sum(lam) != degree or (lam and lam[-1] < 1) or list(lam) != sorted(lam, reverse=True)
+                    or not all(isinstance(part, int) for part in lam)):
                 raise ValueError(f"index {lam} is not a partition of {degree}")
             if c.__class__ is not ring:
                 raise TypeError(f"coefficient of {lam} is {type(c).__name__}, not {ring.__name__}")

@@ -141,7 +141,7 @@ def check_jack_mu(mu) -> dict:
 def check_chromatic_mu(mu) -> dict:
     mu = check_partition(mu)
     data = attacking_data(mu)
-    xs = chrom.from_census(chrom.coloring_census(data.g, data.added))  # audits every H
+    xs = chrom.coloring_census(data.g, data.added)  # audits every H
     for index, (h, x) in enumerate(zip(sandwich_graphs(data), xs)):
         try:
             hessenberg(h)  # the Schur and power routes hold for these graphs only
@@ -161,8 +161,8 @@ def check_chromatic_mu(mu) -> dict:
 def check_llt_mu(mu) -> dict:
     mu = check_partition(mu)
     data = attacking_data(mu)
-    llts = chrom.from_census(chrom.coloring_census(data.g, data.added, proper=False))
-    xs = chrom.from_census(chrom.coloring_census(data.g, data.added))
+    llts = chrom.coloring_census(data.g, data.added, proper=False)
+    xs = chrom.coloring_census(data.g, data.added)
     for index, (h, llt, x) in enumerate(zip(sandwich_graphs(data), llts, xs)):
         if not chrom.verify_plethysm(h, llt, x):
             return _counterexample(mu, f"llt_plethysm_mask{index}", "power", None,

@@ -105,6 +105,13 @@ def test_exact_div():
         P("1").exact_div(LaurentQT.zero())
 
 
+@pytest.mark.parametrize("dividend", ["1", "1 + a"])
+def test_alpha_exact_div_with_a_laurent_quotient_is_inexact(dividend):
+    # the quotient would carry a^-1, which AlphaPoly does not hold
+    with pytest.raises(InexactDivision):
+        A(dividend).exact_div(A("a"))
+
+
 def test_exact_div_laurent_shifts():
     a = P("t^-2 - t^2")
     d = P("t^-1 - t")

@@ -230,7 +230,7 @@ def test_degree_zero():
     assert convert(unit, "power").coeffs == {(): LaurentQT.one()}
 
 
-@pytest.mark.parametrize("lam", [(1, 2), (3, 0)])
+@pytest.mark.parametrize("lam", [(1, 2), (3, 0), (1.5, 1.5)])
 def test_an_index_that_is_no_partition_is_rejected(lam):
     # it used to reach convert, whose back-substitution then reported an
     # identity violation for the malformed input
